@@ -1,9 +1,13 @@
 //! Event-throughput gate: how much does `--obs` cost?
 //!
-//! Runs a fixed pair of quick fig3 cells (CrystalRouter at scale 0.25,
-//! cont-min and rand-adp, seed 0x5EED) with telemetry off and on,
-//! interleaved A/B so machine drift hits both sides equally, and reports
-//! the median events/sec of each side. Two artifacts:
+//! Runs three fixed fig3 cells (CrystalRouter at scale 0.25, seed
+//! 0x5EED) with telemetry off and on, interleaved A/B so machine drift
+//! hits both sides equally, and reports the median events/sec of each
+//! side. Two cells run on the 768-node quick machine (cont-min and
+//! rand-adp); the third (cont-adp) runs on the 65-group canonic machine
+//! `canonical(4,8,8,65)` (2,080 nodes, ~12k channels), so the gate also
+//! covers a machine where almost every channel stays idle and a window
+//! sweep that scaled with machine size would show. Two artifacts:
 //!
 //! * `obs_sampling_delta.csv` — one row per cell with the off/on medians
 //!   and their ratio (the ISSUE 6 acceptance number: on/off <= 1.15x at
@@ -17,8 +21,8 @@
 //! Every obs-on run is also checked bit-identical to its obs-off twin
 //! (same comm times), so the gate doubles as a determinism smoke test.
 
-use dfly_bench::harness::{Mode, RunArgs};
-use dfly_core::config::RoutingPolicy;
+use dfly_bench::harness::{Mode, RunArgs, TopoSpec};
+use dfly_core::config::{ExperimentConfig, RoutingPolicy};
 use dfly_core::report::ConfigLabel;
 use dfly_core::runner::{execute_experiment_with_arena, prepare_topology};
 use dfly_network::SimArena;
@@ -102,21 +106,42 @@ impl CellOutcome {
     }
 }
 
+/// The 65-group canonic machine of the third cell.
+const CANONIC65: TopoSpec = TopoSpec::Canonical {
+    p: 4,
+    a: 8,
+    h: 8,
+    g: 65,
+};
+
+/// The fixed cells: a label and the obs-off config of each.
+fn cells(args: &RunArgs) -> Vec<(String, ExperimentConfig)> {
+    let cell = |topo: Option<TopoSpec>, placement, routing| {
+        let mut a = args.clone();
+        a.topo = topo;
+        let mut cfg = a.base_config(AppKind::CrystalRouter);
+        cfg.seed = SEED;
+        cfg.placement = placement;
+        cfg.routing = routing;
+        let label = ConfigLabel { placement, routing }.to_string();
+        match topo {
+            Some(_) => (format!("canonic65-{label}"), cfg),
+            None => (label, cfg),
+        }
+    };
+    vec![
+        cell(None, PlacementPolicy::Contiguous, RoutingPolicy::Minimal),
+        cell(None, PlacementPolicy::RandomNode, RoutingPolicy::Adaptive),
+        cell(
+            Some(CANONIC65),
+            PlacementPolicy::Contiguous,
+            RoutingPolicy::Adaptive,
+        ),
+    ]
+}
+
 fn main() {
     let cli = parse_cli();
-    let cells = [
-        ConfigLabel {
-            placement: PlacementPolicy::Contiguous,
-            routing: RoutingPolicy::Minimal,
-        },
-        ConfigLabel {
-            placement: PlacementPolicy::RandomNode,
-            routing: RoutingPolicy::Adaptive,
-        },
-    ];
-
-    let mut base = cli.args.base_config(AppKind::CrystalRouter);
-    base.seed = SEED;
     let stride = {
         let mut probe = cli.args.clone();
         probe.obs = true;
@@ -128,13 +153,10 @@ fn main() {
         cli.args.obs_coarse, cli.trials
     );
 
-    let topo = prepare_topology(&base);
     let mut arena = SimArena::new();
     let mut outcomes = Vec::new();
-    for cell in cells {
-        let mut off_cfg = base.clone();
-        off_cfg.placement = cell.placement;
-        off_cfg.routing = cell.routing;
+    for (label, off_cfg) in cells(&cli.args) {
+        let topo = prepare_topology(&off_cfg);
         let mut on_cfg = off_cfg.clone();
         on_cfg.network.obs = true;
         if let Some(s) = cli.args.obs_stride {
@@ -163,7 +185,7 @@ fn main() {
             assert_eq!(on.events, warm_off.events, "obs-on changed the event count");
         }
         let outcome = CellOutcome {
-            label: cell.to_string(),
+            label,
             off_evps: median(&mut off_rates),
             on_evps: median(&mut on_rates),
             events: warm_off.events,
@@ -207,7 +229,8 @@ fn main() {
     // three flat fields per scenario.
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"workload\": \"crystalrouter quick scale {SCALE} seed {SEED:#x}\",\n"
+        "  \"workload\": \"crystalrouter scale {SCALE} seed {SEED:#x}; quick machine, \
+         canonic65 = canonical(4,8,8,65)\",\n"
     ));
     json.push_str(&format!("  \"stride\": {stride},\n"));
     json.push_str(&format!("  \"coarse_clock\": {},\n", cli.args.obs_coarse));

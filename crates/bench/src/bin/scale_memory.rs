@@ -3,8 +3,11 @@
 //!
 //! Runs one fixed fig3-style cell (CrystalRouter, contiguous placement,
 //! adaptive routing, seed 0x5CA1E) on a ≥64-group canonic dragonfly in
-//! both metric modes, streaming first so its `VmHWM` reading is not
-//! polluted by the dense side (the kernel high-water mark only grows):
+//! both metric modes, as [`TRIALS`] interleaved streaming/dense pairs.
+//! Wall time is reported as the median and min–max spread over the
+//! trials, beside the host's core count. Peak RSS comes from the first
+//! pair, streaming first, so its `VmHWM` reading is not polluted by the
+//! dense side (the kernel high-water mark only grows):
 //!
 //! * `--quick` (the CI smoke): 65 groups of 8 routers, 4 nodes/router =
 //!   2,080 nodes — past the paper's 12-group Theta in group count.
@@ -14,7 +17,8 @@
 //!
 //! Artifacts:
 //!
-//! * `scale_memory.csv` — one row per mode with events, wall time,
+//! * `scale_memory.csv` — one row per mode with events, wall time
+//!   (median, min, max over the trials, and the host core count),
 //!   per-subsystem metric bytes (telemetry series + link digest, figure
 //!   CDFs), peak RSS, and traffic-CDF quantiles for the dense-vs-
 //!   streaming accuracy comparison.
@@ -43,6 +47,8 @@ const SEED: u64 = 0x5CA1E;
 /// Rank ceiling: the app is the probe, the machine is the subject, so
 /// the workload stays fixed-size while the topology scales.
 const MAX_RANKS: u32 = 512;
+/// Interleaved streaming/dense pairs per run; wall times are medians.
+const TRIALS: usize = 3;
 
 struct Cli {
     full: bool,
@@ -110,7 +116,8 @@ struct ModeOutcome {
     mode: MetricsMode,
     events: u64,
     job_end_ms: f64,
-    wall_s: f64,
+    /// Wall time of every trial, in run order.
+    walls_s: Vec<f64>,
     /// Telemetry bytes: sample series + link digest.
     obs_bytes: usize,
     obs_samples: usize,
@@ -124,6 +131,31 @@ struct ModeOutcome {
 impl ModeOutcome {
     fn metric_bytes(&self) -> usize {
         self.obs_bytes + self.cdf_bytes
+    }
+
+    /// Fold a later trial in: the simulation must repeat exactly; only
+    /// its wall time is kept.
+    fn add_trial(&mut self, t: ModeOutcome) {
+        assert_eq!(
+            (t.events, t.job_end_ms),
+            (self.events, self.job_end_ms),
+            "{} trial not deterministic",
+            self.mode.label()
+        );
+        self.walls_s.extend(t.walls_s);
+    }
+
+    /// Median, min and max wall time over the trials.
+    fn wall_stats(&self) -> [f64; 3] {
+        let mut w = self.walls_s.clone();
+        w.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
+        let n = w.len();
+        let median = if n % 2 == 1 {
+            w[n / 2]
+        } else {
+            (w[n / 2 - 1] + w[n / 2]) / 2.0
+        };
+        [median, w[0], w[n - 1]]
     }
 }
 
@@ -149,7 +181,7 @@ fn run_mode(cfg: &ExperimentConfig) -> ModeOutcome {
         mode: cfg.network.metrics,
         events: r.events,
         job_end_ms: r.job_end.as_ms_f64(),
-        wall_s,
+        walls_s: vec![wall_s],
         obs_bytes: obs.approx_metric_bytes(),
         obs_samples: obs.series.samples().len(),
         cdf_bytes,
@@ -209,8 +241,13 @@ fn main() {
     stream_cfg.network.metrics = MetricsMode::Streaming {
         reservoir_k: cli.reservoir_k,
     };
-    let streaming = run_mode(&stream_cfg);
-    let dense = run_mode(&base);
+    let mut streaming = run_mode(&stream_cfg);
+    let mut dense = run_mode(&base);
+    for _ in 1..TRIALS {
+        streaming.add_trial(run_mode(&stream_cfg));
+        dense.add_trial(run_mode(&base));
+    }
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     assert_eq!(
         streaming.events, dense.events,
         "metrics mode changed the event count"
@@ -222,11 +259,12 @@ fn main() {
 
     let outcomes = [&streaming, &dense];
     for o in outcomes {
+        let [med, lo, hi] = o.wall_stats();
         println!(
-            "{:>14}: {} events in {:.1}s, telemetry {} B ({} samples), CDFs {} B, peak RSS {} MiB",
+            "{:>14}: {} events in {med:.2}s (median of {TRIALS}, {lo:.2}-{hi:.2}s, {nproc} cores), \
+             telemetry {} B ({} samples), CDFs {} B, peak RSS {} MiB",
             o.mode.label(),
             o.events,
-            o.wall_s,
             o.obs_bytes,
             o.obs_samples,
             o.cdf_bytes,
@@ -258,6 +296,10 @@ fn main() {
             "events",
             "job_end_ms",
             "wall_s",
+            "wall_s_min",
+            "wall_s_max",
+            "trials",
+            "host_nproc",
             "obs_metric_bytes",
             "obs_samples",
             "cdf_bytes",
@@ -275,6 +317,7 @@ fn main() {
     for o in outcomes {
         let l = quantiles(&o.local_cdf);
         let g = quantiles(&o.global_cdf);
+        let [med, lo, hi] = o.wall_stats();
         csv.row(&[
             o.mode.label(),
             topo_cfg.groups.to_string(),
@@ -282,7 +325,11 @@ fn main() {
             ranks.to_string(),
             o.events.to_string(),
             format!("{:.3}", o.job_end_ms),
-            format!("{:.2}", o.wall_s),
+            format!("{med:.3}"),
+            format!("{lo:.3}"),
+            format!("{hi:.3}"),
+            TRIALS.to_string(),
+            nproc.to_string(),
             o.obs_bytes.to_string(),
             o.obs_samples.to_string(),
             o.cdf_bytes.to_string(),
@@ -314,17 +361,20 @@ fn main() {
         cli.scale
     ));
     json.push_str(&format!("  \"reservoir_k\": {},\n", cli.reservoir_k));
+    json.push_str(&format!("  \"trials\": {TRIALS},\n"));
+    json.push_str(&format!("  \"host_nproc\": {nproc},\n"));
     json.push_str("  \"modes\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         let l = quantiles(&o.local_cdf);
+        let [med, lo, hi] = o.wall_stats();
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"events\": {}, \"wall_s\": {:.2}, \
+            "    {{\"mode\": \"{}\", \"events\": {}, \"wall_s_median\": {med:.3}, \
+             \"wall_s_min\": {lo:.3}, \"wall_s_max\": {hi:.3}, \
              \"obs_metric_bytes\": {}, \"obs_samples\": {}, \"cdf_bytes\": {}, \
              \"metric_bytes_total\": {}, \"peak_rss_kb\": {}, \
              \"local_mb_p50\": {:.6}, \"local_mb_p90\": {:.6}, \"local_mb_p99\": {:.6}}}{}\n",
             o.mode.label(),
             o.events,
-            o.wall_s,
             o.obs_bytes,
             o.obs_samples,
             o.cdf_bytes,

@@ -195,8 +195,12 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.topology.validate()?;
         self.network.validate()?;
-        if self.msg_scale <= 0.0 {
-            return Err("msg_scale must be positive".into());
+        // `!(x > 0)` also rejects NaN; +inf would overflow every size.
+        if !(self.msg_scale > 0.0 && self.msg_scale.is_finite()) {
+            return Err(format!(
+                "msg_scale must be positive and finite (got {})",
+                self.msg_scale
+            ));
         }
         if self.parallelism == Parallelism::IntraRun(0) {
             return Err("intra-run parallelism needs at least one worker".into());
@@ -327,6 +331,18 @@ mod tests {
         let mut cfg = ExperimentConfig::small_test();
         cfg.msg_scale = 0.0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_scale() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut cfg = ExperimentConfig::small_test();
+            cfg.msg_scale = bad;
+            let err = cfg
+                .validate()
+                .expect_err("non-finite or negative scale accepted");
+            assert!(err.contains("msg_scale"), "{err}");
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!   sweep — every intrusive list is walked (cycle-bounded), every live
 //!   packet sits in exactly one queue, head/tail agree, per-VC occupancy
 //!   equals queued bytes plus in-flight reservations, waitlist membership
-//!   is consistent, bytes are conserved per message, and at drain every
-//!   buffer is empty and every saturation interval is closed.
+//!   is consistent, bytes are conserved per message, the telemetry
+//!   active list covers every channel holding bytes or a full VC exactly
+//!   once, and at drain every buffer is empty and every saturation
+//!   interval is closed.
 //!
 //! Violations never panic: they accumulate in an [`AuditReport`]
 //! (structured [`AuditViolation`]s with channel/VC/expected/actual/event
@@ -61,6 +63,10 @@ pub enum AuditKind {
     /// Saturation accounting: `full_vcs` vs the count of `full` VC flags,
     /// or an interval still open at drain.
     Saturation,
+    /// Telemetry active list: a channel holding bytes or a full VC is
+    /// not flagged `in_active`, or the flags and the list disagree (a
+    /// channel listed twice, or flagged but missing).
+    ActiveList,
 }
 
 impl AuditKind {
@@ -72,6 +78,7 @@ impl AuditKind {
             AuditKind::ListIntegrity => "list-integrity",
             AuditKind::Waitlist => "waitlist",
             AuditKind::Saturation => "saturation",
+            AuditKind::ActiveList => "active-list",
         }
     }
 }
@@ -950,11 +957,13 @@ impl Auditor {
     /// Walk every structure in the network and cross-check it against the
     /// shadow ledger. With `drained` set, additionally require the
     /// fully-drained postconditions (empty buffers, conserved bytes,
-    /// closed saturation intervals, empty wait lists).
+    /// closed saturation intervals, empty wait lists). `active` is the
+    /// telemetry collector's active list (`None` with telemetry off).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn full_sweep(
         &mut self,
         channels: &[ChannelState],
+        active: Option<&[ChannelId]>,
         nic: &[PacketList],
         packets: &[Packet],
         free_packets: &[PacketId],
@@ -1043,6 +1052,8 @@ impl Auditor {
                 }
             }
         }
+
+        self.check_active_list(channels, active, at, ctx);
 
         // NIC queues.
         for (node, list) in nic.iter().enumerate() {
@@ -1206,6 +1217,49 @@ impl Auditor {
                     engine_total_queued,
                     at,
                     "drain: queued-bytes gauge not zero",
+                );
+            }
+        }
+    }
+
+    /// Active-list discipline: with telemetry on, every channel holding
+    /// bytes or a full VC is flagged; a channel is flagged iff it is
+    /// listed, and listed at most once. With telemetry off no channel is
+    /// flagged.
+    fn check_active_list(
+        &mut self,
+        channels: &[ChannelState],
+        active: Option<&[ChannelId]>,
+        at: Ns,
+        ctx: &str,
+    ) {
+        let mut listed = vec![0u32; channels.len()];
+        for id in active.unwrap_or(&[]) {
+            listed[id.index()] += 1;
+        }
+        for (ci, ch) in channels.iter().enumerate() {
+            let id = ChannelId(ci as u32);
+            let holds = ch.total_occupancy > 0 || ch.full_vcs > 0;
+            if active.is_some() && holds && !ch.in_active {
+                self.violate(
+                    AuditKind::ActiveList,
+                    Some(id),
+                    None,
+                    1,
+                    0,
+                    at,
+                    &format!("{ctx}: channel holding bytes or a full VC not flagged active"),
+                );
+            }
+            if listed[ci] != ch.in_active as u32 {
+                self.violate(
+                    AuditKind::ActiveList,
+                    Some(id),
+                    None,
+                    ch.in_active as u64,
+                    listed[ci] as u64,
+                    at,
+                    &format!("{ctx}: active flag vs active-list membership"),
                 );
             }
         }

@@ -158,6 +158,12 @@ pub(crate) struct ChannelState {
     /// time — any wakeup rescans all VCs — so one bit replaces the
     /// O(waiters) `contains` scan the arbiter used to do per attempt.
     pub(crate) in_waitlist: bool,
+    /// True while this channel sits on the telemetry collector's active
+    /// list (see [`crate::obs`]): set when its occupancy leaves zero or a
+    /// VC is marked full, cleared by the window sweep once it is empty
+    /// and not full again. Never set with telemetry off. Fits the
+    /// struct's spare padding byte.
+    pub(crate) in_active: bool,
     // --- metrics ---
     pub(crate) full_vcs: u16,
     pub(crate) full_start: Ns,
@@ -185,6 +191,7 @@ impl ChannelState {
             inflight: VecDeque::new(),
             waiters: Vec::new(),
             in_waitlist: false,
+            in_active: false,
             full_vcs: 0,
             full_start: Ns::ZERO,
             saturated: Ns::ZERO,
@@ -206,15 +213,20 @@ impl ChannelState {
     }
 
     /// Record that VC `vc` freed space at `now`: closes the saturated
-    /// interval once no VC is full, accumulating it exactly once.
-    pub(crate) fn clear_full(&mut self, vc: usize, now: Ns) {
+    /// interval once no VC is full, accumulating it exactly once. Returns
+    /// the length of the interval this call closed (zero if none), so
+    /// telemetry can keep a running per-class total.
+    pub(crate) fn clear_full(&mut self, vc: usize, now: Ns) -> Ns {
         if self.vcs[vc].full {
             self.vcs[vc].full = false;
             self.full_vcs -= 1;
             if self.full_vcs == 0 {
-                self.saturated += now - self.full_start;
+                let closed = now - self.full_start;
+                self.saturated += closed;
+                return closed;
             }
         }
+        Ns::ZERO
     }
 
     /// Saturated time including a still-open full interval at `now`.
@@ -223,11 +235,18 @@ impl ChannelState {
     /// sample windows: an interval opened by the current event has not
     /// started yet at an earlier window boundary and contributes nothing.
     pub(crate) fn saturated_until(&self, now: Ns) -> Ns {
-        let mut s = self.saturated;
+        self.saturated + self.open_saturation(now)
+    }
+
+    /// Length at `now` of the still-open full interval (zero when no VC
+    /// is full, or when `now` precedes its start — see
+    /// [`ChannelState::saturated_until`]).
+    pub(crate) fn open_saturation(&self, now: Ns) -> Ns {
         if self.full_vcs > 0 {
-            s += now.saturating_sub(self.full_start);
+            now.saturating_sub(self.full_start)
+        } else {
+            Ns::ZERO
         }
-        s
     }
 }
 
@@ -291,13 +310,24 @@ mod tests {
         ch.mark_full(0, Ns(100));
         ch.mark_full(0, Ns(150)); // repeated refusal: no double-open
         ch.mark_full(2, Ns(200)); // second VC joins the open interval
-        ch.clear_full(0, Ns(300));
+        assert_eq!(ch.clear_full(0, Ns(300)), Ns::ZERO);
         assert_eq!(ch.saturated, Ns::ZERO, "interval still open via VC 2");
-        ch.clear_full(2, Ns(450));
+        assert_eq!(ch.clear_full(2, Ns(450)), Ns(350), "closed length");
         assert_eq!(ch.saturated, Ns(350));
         // Clearing an already-clear VC is a no-op.
-        ch.clear_full(1, Ns(500));
+        assert_eq!(ch.clear_full(1, Ns(500)), Ns::ZERO);
         assert_eq!(ch.saturated, Ns(350));
+    }
+
+    #[test]
+    fn channel_state_stays_408_bytes() {
+        // 649,696 of these back the 131k-node machine: the active-list
+        // flag must ride the padding, not grow the struct.
+        assert!(
+            std::mem::size_of::<ChannelState>() <= 408,
+            "ChannelState grew to {} bytes",
+            std::mem::size_of::<ChannelState>()
+        );
     }
 
     #[test]

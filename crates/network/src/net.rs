@@ -189,6 +189,7 @@ impl Network {
                 params.metrics,
                 obs_seed,
                 arena.take_sample_buffer(),
+                crate::obs::class_counts(&topo),
             ))
         });
         if obs.is_some() {
@@ -369,6 +370,7 @@ impl Network {
             self.params.metrics,
             self.obs_seed,
             buf,
+            crate::obs::class_counts(&self.topo),
         )));
     }
 
@@ -377,12 +379,18 @@ impl Network {
         self.obs.is_some()
     }
 
+    /// The telemetry collector, for tests that inspect its internals.
+    #[cfg(test)]
+    pub(crate) fn obs_collector(&self) -> Option<&ObsCollector> {
+        self.obs.as_deref()
+    }
+
     /// Close the current sampling window with a final sweep and return
     /// everything telemetry collected, or `None` if telemetry is off.
     pub fn obs_report(&mut self) -> Option<ObsReport> {
         let now = self.queue.now();
         if let Some(obs) = self.obs.as_mut() {
-            obs.close(now, &self.channels, &self.params, self.router.stats());
+            obs.close(now, &mut self.channels, &self.params, self.router.stats());
         }
         let high_water = self.queue.high_water();
         self.obs
@@ -691,7 +699,7 @@ impl Network {
         };
         obs.note_event(kind, started, depth);
         if obs.sample_due(now) {
-            obs.sample(now, &self.channels, &self.params, self.router.stats());
+            obs.sample(now, &mut self.channels, &self.params, self.router.stats());
         }
     }
 
@@ -733,6 +741,7 @@ impl Network {
             };
             a.full_sweep(
                 &self.channels,
+                self.obs.as_ref().map(|o| o.active()),
                 &self.nic,
                 &self.packets,
                 &self.free_packets,
@@ -818,11 +827,17 @@ impl Network {
             if ch.vcs[0].occupancy + size > cap {
                 // NIC blocked: the injection buffer is full.
                 ch.mark_full(0, now);
+                if let Some(obs) = self.obs.as_mut() {
+                    obs.activate(ch_id, ch);
+                }
                 self.audit_check_channel(ch_id, "nic blocked");
                 return;
             }
             ch.vcs[0].occupancy += size;
             ch.total_occupancy += size;
+            if let Some(obs) = self.obs.as_mut() {
+                obs.activate(ch_id, ch);
+            }
             self.total_queued += size;
             self.nic[node.index()].pop_front(&self.packets);
             self.channels[ch_id.index()].vcs[0]
@@ -904,6 +919,9 @@ impl Network {
                 let cap = self.params.vc_capacity(ncs.class);
                 if ncs.vcs[next_vc].occupancy + size > cap {
                     ncs.mark_full(next_vc, now);
+                    if let Some(obs) = self.obs.as_mut() {
+                        obs.activate(nc, ncs);
+                    }
                     let registered = arbiter::park_waiter(&mut self.channels, nc, ch_id);
                     if let Some(a) = self.audit.as_mut() {
                         a.on_park(ch_id, nc, registered, now);
@@ -913,6 +931,9 @@ impl Network {
                 }
                 ncs.vcs[next_vc].occupancy += size;
                 ncs.total_occupancy += size;
+                if let Some(obs) = self.obs.as_mut() {
+                    obs.activate(nc, ncs);
+                }
                 self.total_queued += size;
                 if let Some(a) = self.audit.as_mut() {
                     a.on_reserve(pid, nc, next_vc, now);
@@ -927,6 +948,9 @@ impl Network {
             ch.traffic += size;
             let ser = ch.bandwidth.serialization_time(size);
             ch.busy_time += ser;
+            if let Some(obs) = self.obs.as_mut() {
+                obs.note_busy(ch.class, ser);
+            }
             let extra = ch.arrival_extra;
             if let Some(tl) = &mut self.traffic_timeline {
                 tl.record(ch.class, self.queue.now(), size);
@@ -980,7 +1004,10 @@ impl Network {
             ch.total_occupancy -= size;
             self.total_queued -= size;
             ch.busy = false;
-            ch.clear_full(v, now);
+            let closed = ch.clear_full(v, now);
+            if let Some(obs) = self.obs.as_mut() {
+                obs.note_saturation(ch.class, closed);
+            }
             let node = if ch.class == ChannelClass::TerminalUp {
                 // terminal-up channel id == node id by construction
                 Some(NodeId(ch_id.0))
@@ -1254,6 +1281,9 @@ impl Network {
         }
         ch.vcs[v].occupancy += size;
         ch.total_occupancy += size;
+        if let Some(obs) = self.obs.as_mut() {
+            obs.activate(ch_id, ch);
+        }
         self.total_queued += size;
         self.channels[ch_id.index()].vcs[v]
             .queue
@@ -1290,6 +1320,9 @@ impl Network {
             }
             ch.vcs[v].occupancy += size;
             ch.total_occupancy += size;
+            if let Some(obs) = self.obs.as_mut() {
+                obs.activate(ch_id, ch);
+            }
             self.total_queued += size;
             self.shard.as_mut().unwrap().landing[ch_id.index()].pop_front();
             self.channels[ch_id.index()].vcs[v]
@@ -1401,7 +1434,7 @@ impl Network {
     pub(crate) fn obs_report_closed_at(&mut self, global_end: Ns) -> Option<ObsReport> {
         let end = self.queue.now().max(global_end);
         if let Some(obs) = self.obs.as_mut() {
-            obs.close(end, &self.channels, &self.params, self.router.stats());
+            obs.close(end, &mut self.channels, &self.params, self.router.stats());
         }
         let high_water = self.queue.high_water();
         self.obs
@@ -2100,6 +2133,40 @@ mod tests {
                 .any(|v| v.kind == AuditKind::VcOccupancy && v.channel == Some(up)),
             "{report}"
         );
+    }
+
+    #[test]
+    fn audit_detects_cleared_active_flag() {
+        let mut n = net(Routing::Minimal);
+        n.set_audit(true);
+        n.set_obs_interval(Ns(1_000));
+        for src in 1..24u32 {
+            n.send(Ns::ZERO, NodeId(src), NodeId(0), 64 * 1024, src as u64);
+        }
+        n.run_until(Ns(20_000));
+        assert!(n.audit_report().unwrap().is_clean());
+        // Drop a loaded channel's flag behind the collector's back: the
+        // next window would skip its bytes.
+        let victim = n
+            .channels
+            .iter()
+            .position(|c| c.in_active && c.total_occupancy > 0)
+            .expect("some loaded channel on the active list");
+        n.channels[victim].in_active = false;
+        let report = n.audit_report().unwrap();
+        let flagged: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| v.kind == AuditKind::ActiveList)
+            .collect();
+        assert_eq!(
+            flagged.len(),
+            2,
+            "unflagged + listed-but-unflagged: {report}"
+        );
+        assert!(flagged
+            .iter()
+            .all(|v| v.channel == Some(ChannelId(victim as u32))));
     }
 
     #[test]

@@ -340,6 +340,15 @@ impl OccupancyHistogram {
         self.readings += 1;
     }
 
+    /// Record `n` empty-VC readings at once — exactly `n` calls of
+    /// `record(0.0)`. Counts are integers, so crediting idle VCs in bulk
+    /// gives the same histogram in any order.
+    #[inline]
+    pub fn record_zeros(&mut self, n: u64) {
+        self.buckets[0] += n;
+        self.readings += n;
+    }
+
     /// Fraction of readings in bucket `idx` (0 if nothing recorded).
     pub fn share(&self, idx: usize) -> f64 {
         if self.readings == 0 {
@@ -658,6 +667,22 @@ mod tests {
         assert_eq!(h.buckets[4], 1);
         assert_eq!(h.buckets[7], 2);
         assert!((h.high_fill_share() - 3.0 / 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn bulk_zero_credit_equals_repeated_zero_records() {
+        let mut one_by_one = OccupancyHistogram::new();
+        let mut bulk = OccupancyHistogram::new();
+        for h in [&mut one_by_one, &mut bulk] {
+            h.record(0.3);
+            h.record(0.9);
+        }
+        for _ in 0..1_000 {
+            one_by_one.record(0.0);
+        }
+        bulk.record_zeros(1_000);
+        bulk.record_zeros(0);
+        assert_eq!(one_by_one, bulk);
     }
 
     #[test]

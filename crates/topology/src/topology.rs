@@ -353,6 +353,19 @@ impl Topology {
         &self.gateways[src_group.index()][dst_group.index()]
     }
 
+    /// Directed channels of `class`. Each class occupies one contiguous
+    /// id range, so this is O(1).
+    pub fn class_channel_count(&self, class: ChannelClass) -> usize {
+        let (lo, hi) = match class {
+            ChannelClass::TerminalUp => (0, self.base_term_down),
+            ChannelClass::TerminalDown => (self.base_term_down, self.base_row),
+            ChannelClass::LocalRow => (self.base_row, self.base_col),
+            ChannelClass::LocalCol => (self.base_col, self.base_global),
+            ChannelClass::Global => (self.base_global, self.channels.len() as u32),
+        };
+        (hi - lo) as usize
+    }
+
     /// The first channel id of the global class (useful for metrics layout).
     pub fn first_global_channel(&self) -> ChannelId {
         ChannelId(self.base_global)
@@ -425,6 +438,23 @@ mod tests {
             + r * (cfg.rows - 1)                     // cols
             + cfg.groups * (cfg.groups - 1) / 2 * cfg.links_per_group_pair() * 2; // global
         assert_eq!(t.channel_count(), expected as usize);
+    }
+
+    #[test]
+    fn class_channel_counts_match_a_census() {
+        let canonic = Topology::build(TopologyConfig::canonical(2, 4, 2, 5));
+        for t in [theta(), small(), canonic] {
+            for class in [
+                ChannelClass::TerminalUp,
+                ChannelClass::TerminalDown,
+                ChannelClass::LocalRow,
+                ChannelClass::LocalCol,
+                ChannelClass::Global,
+            ] {
+                let census = t.channels().filter(|(_, c)| c.class == class).count();
+                assert_eq!(t.class_channel_count(class), census, "{class:?}");
+            }
+        }
     }
 
     #[test]

@@ -113,8 +113,10 @@ pub struct ArrivalPlan {
 impl ArrivalPlan {
     /// Validate the plan.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.rate_per_ms > 0.0) {
-            return Err("rate_per_ms: must be positive".into());
+        // An infinite rate draws zero gaps forever: the stream never
+        // passes `duration` and grows without bound.
+        if !(self.rate_per_ms > 0.0 && self.rate_per_ms.is_finite()) {
+            return Err("rate_per_ms: must be positive and finite".into());
         }
         if self.duration == Ns::ZERO && self.min_jobs == 0 {
             return Err("duration: zero-length stream with no min_jobs floor".into());
@@ -128,8 +130,8 @@ impl ArrivalPlan {
                 self.min_ranks, self.max_ranks
             ));
         }
-        if !(self.msg_scale > 0.0) {
-            return Err("msg_scale: must be positive".into());
+        if !(self.msg_scale > 0.0 && self.msg_scale.is_finite()) {
+            return Err("msg_scale: must be positive and finite".into());
         }
         Ok(())
     }
@@ -189,8 +191,27 @@ pub fn poisson_arrivals(plan: &ArrivalPlan) -> Vec<Arrival> {
 /// `kind` is `cr`/`fb`/`amg` or a pattern label (`uniform`, `shift`,
 /// `transpose`, `bit-reversal`, `ring`, `all-to-all`). A missing estimate
 /// falls back to [`runtime_estimate`]. Blank lines and `#` comments are
-/// skipped. Arrivals are returned sorted by time (stable).
+/// skipped. Times and estimates must be non-negative and finite, and
+/// `msg_scale` positive and finite; anything else is a line-numbered
+/// `Err`. Arrivals are returned sorted by time (stable).
 pub fn parse_arrivals(text: &str) -> Result<Vec<Arrival>, String> {
+    /// A non-negative microsecond field that fits in nanoseconds: NaN,
+    /// infinities and negatives are errors, not a silent 0 or `u64::MAX`.
+    fn parse_us(field: &str, what: &str, lineno: usize) -> Result<Ns, String> {
+        field
+            .parse::<f64>()
+            .ok()
+            .map(|us| 1_000.0 * us)
+            .filter(|ns| (0.0..u64::MAX as f64).contains(ns))
+            .map(|ns| Ns(ns as u64))
+            .ok_or_else(|| {
+                format!(
+                    "line {}: bad {what} {field:?} (want non-negative finite microseconds)",
+                    lineno + 1
+                )
+            })
+    }
+
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -204,9 +225,7 @@ pub fn parse_arrivals(text: &str) -> Result<Vec<Arrival>, String> {
                 lineno + 1
             ));
         }
-        let at_us: f64 = fields[0]
-            .parse()
-            .map_err(|_| format!("line {}: bad arrival time {:?}", lineno + 1, fields[0]))?;
+        let at = parse_us(fields[0], "arrival time", lineno)?;
         let kind = match fields[1] {
             "cr" => ArrivalKind::App(AppKind::CrystalRouter),
             "fb" => ArrivalKind::App(AppKind::FillBoundary),
@@ -224,16 +243,21 @@ pub fn parse_arrivals(text: &str) -> Result<Vec<Arrival>, String> {
             .map_err(|_| format!("line {}: bad rank count {:?}", lineno + 1, fields[2]))?;
         let msg_scale: f64 = fields[3]
             .parse()
-            .map_err(|_| format!("line {}: bad msg_scale {:?}", lineno + 1, fields[3]))?;
+            .ok()
+            .filter(|v: &f64| *v > 0.0 && v.is_finite())
+            .ok_or_else(|| {
+                format!(
+                    "line {}: bad msg_scale {:?} (want a positive finite number)",
+                    lineno + 1,
+                    fields[3]
+                )
+            })?;
         let estimate = match fields.get(4) {
-            Some(f) => Ns((1_000.0
-                * f.parse::<f64>()
-                    .map_err(|_| format!("line {}: bad estimate {f:?}", lineno + 1))?)
-                as u64),
+            Some(f) => parse_us(f, "estimate", lineno)?,
             None => runtime_estimate(kind, ranks, msg_scale),
         };
         out.push(Arrival {
-            at: Ns((1_000.0 * at_us) as u64),
+            at,
             kind,
             ranks,
             msg_scale,
@@ -336,6 +360,18 @@ mod tests {
     }
 
     #[test]
+    fn plan_validation_rejects_non_finite_rate_and_scale() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut p = plan();
+            p.rate_per_ms = bad;
+            assert!(p.validate().unwrap_err().contains("rate_per_ms"));
+            let mut p = plan();
+            p.msg_scale = bad;
+            assert!(p.validate().unwrap_err().contains("msg_scale"));
+        }
+    }
+
+    #[test]
     fn parse_arrivals_roundtrips_the_documented_format() {
         let text = "\
             # demo stream\n\
@@ -370,6 +406,41 @@ mod tests {
             .unwrap_err()
             .contains("warp"));
         assert!(parse_arrivals("0, cr, 4").unwrap_err().contains("want"));
+    }
+
+    #[test]
+    fn parse_arrivals_rejects_non_finite_and_negative_times() {
+        for bad in ["NaN", "inf", "-inf", "-5", "1e300"] {
+            let err = parse_arrivals(&format!("0, cr, 8, 1.0\n{bad}, cr, 8, 1.0"))
+                .expect_err("bad arrival time accepted");
+            assert!(
+                err.contains("line 2") && err.contains("arrival time"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_arrivals_rejects_non_finite_and_negative_estimates() {
+        for bad in ["NaN", "inf", "-1", "1e300"] {
+            let err = parse_arrivals(&format!("# header\n0, cr, 8, 1.0, {bad}"))
+                .expect_err("bad estimate accepted");
+            assert!(err.contains("line 2") && err.contains("estimate"), "{err}");
+        }
+        // Zero is a valid (if optimistic) estimate.
+        assert_eq!(
+            parse_arrivals("0, cr, 8, 1.0, 0").unwrap()[0].estimate,
+            Ns::ZERO
+        );
+    }
+
+    #[test]
+    fn parse_arrivals_rejects_non_finite_and_non_positive_scales() {
+        for bad in ["NaN", "inf", "-inf", "0", "-0.5"] {
+            let err =
+                parse_arrivals(&format!("0, cr, 8, {bad}")).expect_err("bad msg_scale accepted");
+            assert!(err.contains("line 1") && err.contains("msg_scale"), "{err}");
+        }
     }
 
     #[test]
