@@ -1,5 +1,6 @@
 //! Experiment configuration.
 
+use crate::mpi::{MAX_RANKS, RANK_BITS};
 use dfly_engine::kv::{kv, nest, ToKv};
 use dfly_network::NetworkParams;
 use dfly_placement::{PlacementPolicy, TaskMapping};
@@ -96,6 +97,41 @@ impl Parallelism {
             Parallelism::IntraRun(n) => format!("intra-run:{n}"),
         }
     }
+
+    /// Worker threads of the group-sharded engine for a run on `topology`,
+    /// or `None` for the serial loop. A single-group machine has no
+    /// cross-group cut to shard on, so it always runs serially.
+    pub(crate) fn shard_workers(self, topology: &TopologyConfig) -> Option<usize> {
+        match self {
+            Parallelism::IntraRun(n) if topology.groups >= 2 => Some(n as usize),
+            _ => None,
+        }
+    }
+}
+
+/// The job-shape rules every entry point shares: at least 2 ranks (every
+/// app and pattern generator needs a peer), no more than the rank tag
+/// field holds or the machine has nodes, and a positive, finite message
+/// scale. Callers prefix the field the job came from.
+pub(crate) fn check_job_shape(ranks: u32, nodes: u32, msg_scale: f64) -> Result<(), String> {
+    if ranks < 2 {
+        return Err(format!("job needs at least 2 ranks (got {ranks})"));
+    }
+    if ranks > MAX_RANKS {
+        return Err(format!(
+            "{ranks} ranks exceed the {RANK_BITS}-bit rank tag field"
+        ));
+    }
+    if ranks > nodes {
+        return Err(format!("{ranks} ranks exceed the {nodes}-node machine"));
+    }
+    // `!(x > 0)` also rejects NaN; +inf would overflow every size.
+    if !(msg_scale > 0.0 && msg_scale.is_finite()) {
+        return Err(format!(
+            "msg_scale must be positive and finite (got {msg_scale})"
+        ));
+    }
+    Ok(())
 }
 
 /// Background (external interference) traffic configuration. The synthetic
@@ -195,23 +231,10 @@ impl ExperimentConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.topology.validate()?;
         self.network.validate()?;
-        // `!(x > 0)` also rejects NaN; +inf would overflow every size.
-        if !(self.msg_scale > 0.0 && self.msg_scale.is_finite()) {
-            return Err(format!(
-                "msg_scale must be positive and finite (got {})",
-                self.msg_scale
-            ));
-        }
+        let nodes = self.topology.total_nodes();
+        check_job_shape(self.app.ranks(), nodes, self.msg_scale)?;
         if self.parallelism == Parallelism::IntraRun(0) {
             return Err("intra-run parallelism needs at least one worker".into());
-        }
-        let nodes = self.topology.total_nodes();
-        if self.app.ranks() > nodes {
-            return Err(format!(
-                "app needs {} ranks but the machine has {} nodes",
-                self.app.ranks(),
-                nodes
-            ));
         }
         if let Some(bg) = &self.background {
             bg.spec.validate()?;

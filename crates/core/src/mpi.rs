@@ -8,22 +8,30 @@
 //! (paper Section III-A).
 //!
 //! The per-rank **communication time** — the paper's headline metric — is
-//! the time at which the rank's last phase completes, since every rank
-//! starts at t=0 and compute time is ignored.
+//! the time at which the rank's last phase completes, measured from the
+//! job's start (t=0 for the fixed job sets here; compute time is ignored).
 //!
-//! Two kinds of co-runners are supported:
+//! One core, `RankEngine`, executes ranks for every front. It owns the
+//! node-to-rank map, a slot table of installed jobs, the message-tag
+//! layout ([`RANK_BITS`] … [`JOB_SLOTS`]), phase issue, advance and
+//! delivery handling, and the wakeup-driven helpers. Two fronts run on it:
 //!
-//! * full traced jobs, via [`MultiDriver`] (the multi-job production
-//!   scenario the paper motivates; its predecessor study calls the
-//!   resulting interference the "bully" effect);
-//! * open-loop synthetic background traffic ([`BackgroundRunner`]),
-//!   injected incrementally through network wakeups, window by window, so
-//!   interference runs never materialize millions of future messages.
+//! * [`MultiDriver`] (and its one-job wrapper [`MpiDriver`]) starts a fixed
+//!   set of traced jobs at t=0 — the multi-job production scenario the
+//!   paper motivates; its predecessor study calls the resulting
+//!   interference the "bully" effect;
+//! * [`crate::service::ServiceSim`] admits, places and retires jobs over
+//!   time.
+//!
+//! Open-loop synthetic background traffic ([`BackgroundRunner`]) is
+//! injected incrementally through network wakeups, window by window, so
+//! interference runs never materialize millions of future messages.
 
 use dfly_engine::{Bytes, Ns};
 use dfly_network::{Delivery, MessageId, Network, NetworkEvent, ShardedNetwork};
 use dfly_topology::NodeId;
-use dfly_workloads::{BackgroundTraffic, JobTrace};
+use dfly_workloads::{BackgroundTraffic, BgMessage, JobTrace};
+use std::borrow::Cow;
 
 /// The network surface the rank engine drives. Implemented by the serial
 /// [`Network`] and the sharded PDES [`ShardedNetwork`]; the drivers are
@@ -102,13 +110,29 @@ impl DriverNet for ShardedNetwork {
     }
 }
 
-/// Tag bit marking background messages.
+/// Rank field width of an app-message tag (bits `[23:0]`).
+pub const RANK_BITS: u32 = 24;
+/// Phase field shift (bits `[47:24]`).
+pub const PHASE_SHIFT: u32 = RANK_BITS;
+/// Job-slot field shift (bits `[63:48]`).
+pub const JOB_SHIFT: u32 = 48;
+/// Largest rank count a job may have (24-bit rank field).
+pub const MAX_RANKS: u32 = (1 << RANK_BITS) - 1;
+/// Largest phase count a trace may have (24-bit phase field).
+pub const MAX_PHASES: usize = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
+/// Concurrent job-slot budget (16-bit job field). Slots are recycled on
+/// completion, so this bounds *simultaneously running* jobs — a stream may
+/// be arbitrarily long.
+pub const JOB_SLOTS: usize = 1 << (u64::BITS - JOB_SHIFT);
+
+const RANK_MASK: u64 = MAX_RANKS as u64;
+const PHASE_MASK: u64 = MAX_PHASES as u64;
+/// Tag bit set on background messages. Job slots at or above
+/// `JOB_SLOTS / 2` set it too, so the engine tells background deliveries
+/// apart by their destination (no job owns it), never by this bit.
 const BG_FLAG: u64 = 1 << 63;
-/// Tag layout for app messages: [62:48] job, [47:24] phase, [23:0] rank.
-const JOB_SHIFT: u32 = 48;
-const PHASE_SHIFT: u32 = 24;
-const RANK_MASK: u64 = (1 << PHASE_SHIFT) - 1;
-const PHASE_MASK: u64 = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
+/// `node_owner` entry of a node no job runs on.
+const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Outcome of one job in a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,23 +165,6 @@ impl JobResult {
     }
 }
 
-struct RankState {
-    phase: usize,
-    outstanding_sends: u32,
-    recvs_got: Vec<u32>,
-    finished_at: Option<Ns>,
-    hops_weighted: f64,
-    packets_sent: u64,
-}
-
-struct JobContext<'a> {
-    trace: &'a JobTrace,
-    placement: &'a [NodeId],
-    expected_recvs: Vec<Vec<u32>>,
-    ranks: Vec<RankState>,
-    unfinished: usize,
-}
-
 /// Background injection state: a synthetic job occupying a node set.
 pub struct BackgroundRunner {
     traffic: BackgroundTraffic,
@@ -183,11 +190,7 @@ impl BackgroundRunner {
 
     /// Inject the next window of messages; returns the time of the next
     /// refill.
-    fn refill<N: DriverNet>(
-        &mut self,
-        net: &mut N,
-        scratch: &mut Vec<dfly_workloads::BgMessage>,
-    ) -> Ns {
+    fn refill<N: DriverNet>(&mut self, net: &mut N, scratch: &mut Vec<BgMessage>) -> Ns {
         let from = self.injected_until;
         let to = from + self.window;
         scratch.clear();
@@ -237,58 +240,143 @@ struct Sampler {
     series: LoadSeries,
 }
 
-/// Drives any number of traced jobs (plus optional open-loop background
-/// traffic) to completion on one shared network.
-pub struct MultiDriver<'a, N: DriverNet = Network> {
-    net: &'a mut N,
-    jobs: Vec<JobContext<'a>>,
-    /// node -> (job, rank), dense over the machine.
+struct RankState {
+    phase: usize,
+    outstanding_sends: u32,
+    recvs_got: Vec<u32>,
+    finished_at: Option<Ns>,
+    hops_weighted: f64,
+    packets_sent: u64,
+}
+
+/// One installed job: its trace, its nodes, every rank's progress, and
+/// whatever the front keeps beside them (`meta`).
+pub(crate) struct JobRun<'a, M> {
+    trace: Cow<'a, JobTrace>,
+    placement: Cow<'a, [NodeId]>,
+    expected_recvs: Vec<Vec<u32>>,
+    ranks: Vec<RankState>,
+    unfinished: usize,
+    pub(crate) meta: M,
+}
+
+impl<M> JobRun<'_, M> {
+    /// Rank count.
+    pub(crate) fn ranks(&self) -> u32 {
+        self.trace.ranks()
+    }
+
+    /// The node each rank runs on.
+    pub(crate) fn placement(&self) -> &[NodeId] {
+        &self.placement
+    }
+
+    /// Send every message of `rank`'s current phase at `now`.
+    fn issue<N: DriverNet>(&mut self, net: &mut N, slot: u32, rank: u32, now: Ns) {
+        let phase = self.ranks[rank as usize].phase;
+        let Some(ph) = self.trace.programs[rank as usize].phases.get(phase) else {
+            return;
+        };
+        self.ranks[rank as usize].outstanding_sends = ph.sends.len() as u32;
+        let src = self.placement[rank as usize];
+        let tag = ((slot as u64) << JOB_SHIFT) | ((phase as u64) << PHASE_SHIFT) | rank as u64;
+        for s in &ph.sends {
+            net.send(now, src, self.placement[s.peer as usize], s.bytes, tag);
+        }
+    }
+
+    /// Advance `rank` through any phases that are already complete.
+    fn advance<N: DriverNet>(&mut self, net: &mut N, slot: u32, rank: u32, now: Ns) {
+        loop {
+            let state = &self.ranks[rank as usize];
+            if state.finished_at.is_some() {
+                return;
+            }
+            let phase = state.phase;
+            let total = self.trace.programs[rank as usize].phases.len();
+            if phase < total {
+                let expected = self.expected_recvs[rank as usize]
+                    .get(phase)
+                    .copied()
+                    .unwrap_or(0);
+                if state.outstanding_sends > 0 || state.recvs_got[phase] < expected {
+                    return;
+                }
+                // Phase complete: move on.
+                self.ranks[rank as usize].phase = phase + 1;
+                if phase + 1 < total {
+                    self.issue(net, slot, rank, now);
+                    continue;
+                }
+            }
+            // Past the last phase (or an empty program).
+            self.ranks[rank as usize].finished_at = Some(now);
+            self.unfinished -= 1;
+            return;
+        }
+    }
+}
+
+/// The rank-execution core every driver front runs on. It owns which job
+/// rank each node hosts, a slot table of installed jobs, the tag layout,
+/// phase issue/advance/delivery handling, and the wakeup-driven helpers
+/// (background refill and load sampling). Fronts decide *which* jobs run
+/// in *which* slot and *when*: [`MultiDriver`] installs a fixed set at
+/// t=0; [`crate::service::ServiceSim`] admits, recycles and retires.
+pub(crate) struct RankEngine<'a, N: DriverNet, M = ()> {
+    pub(crate) net: &'a mut N,
+    /// node -> (slot, rank), dense over the machine.
     node_owner: Vec<(u32, u32)>,
+    slots: Vec<Option<JobRun<'a, M>>>,
     background: Option<BackgroundRunner>,
-    bg_scratch: Vec<dfly_workloads::BgMessage>,
+    bg_scratch: Vec<BgMessage>,
     sampler: Option<Sampler>,
 }
 
-const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
+impl<'a, N: DriverNet, M> RankEngine<'a, N, M> {
+    pub(crate) fn new(net: &'a mut N) -> RankEngine<'a, N, M> {
+        let nodes = net.total_nodes() as usize;
+        RankEngine {
+            net,
+            node_owner: vec![NO_OWNER; nodes],
+            slots: Vec::new(),
+            background: None,
+            bg_scratch: Vec::new(),
+            sampler: None,
+        }
+    }
 
-impl<'a, N: DriverNet> MultiDriver<'a, N> {
-    /// Set up a driver over `jobs`: each entry is a trace plus the node
-    /// each of its ranks runs on. Node sets must be disjoint.
-    pub fn new(
-        net: &'a mut N,
-        jobs: &[(&'a JobTrace, &'a [NodeId])],
-        background: Option<BackgroundRunner>,
-    ) -> MultiDriver<'a, N> {
-        assert!(!jobs.is_empty(), "need at least one job");
-        assert!(
-            jobs.len() < (1 << (63 - JOB_SHIFT)) as usize,
-            "too many jobs for the tag encoding"
+    /// Install a job in `slot` — an empty slot, or the next new one — and
+    /// claim its nodes. Nothing is sent until [`RankEngine::issue_all`].
+    pub(crate) fn install(
+        &mut self,
+        slot: u32,
+        trace: Cow<'a, JobTrace>,
+        placement: Cow<'a, [NodeId]>,
+        meta: M,
+    ) {
+        assert_eq!(
+            trace.ranks() as usize,
+            placement.len(),
+            "job {slot}: placement size must equal rank count"
         );
-        let total_nodes = net.total_nodes() as usize;
-        let mut node_owner = vec![NO_OWNER; total_nodes];
-        let mut contexts = Vec::with_capacity(jobs.len());
-        for (job_idx, (trace, placement)) in jobs.iter().enumerate() {
+        trace.validate().expect("invalid trace");
+        assert!(
+            trace.ranks() <= MAX_RANKS && trace.phase_count() <= MAX_PHASES,
+            "job {slot} exceeds tag encoding limits"
+        );
+        for (rank, &node) in placement.iter().enumerate() {
             assert_eq!(
-                trace.ranks() as usize,
-                placement.len(),
-                "job {job_idx}: placement size must equal rank count"
+                self.node_owner[node.index()],
+                NO_OWNER,
+                "node {node} assigned twice"
             );
-            trace.validate().expect("invalid trace");
-            assert!(
-                (trace.ranks() as u64) <= RANK_MASK && (trace.phase_count() as u64) <= PHASE_MASK,
-                "job {job_idx} exceeds tag encoding limits"
-            );
-            for (rank, &node) in placement.iter().enumerate() {
-                assert_eq!(
-                    node_owner[node.index()],
-                    NO_OWNER,
-                    "node {node} assigned twice"
-                );
-                node_owner[node.index()] = (job_idx as u32, rank as u32);
-            }
-            let phases = trace.phase_count();
-            let expected_recvs = trace.recv_counts();
-            let ranks = (0..trace.ranks())
+            self.node_owner[node.index()] = (slot, rank as u32);
+        }
+        let phases = trace.phase_count();
+        let job = JobRun {
+            expected_recvs: trace.recv_counts(),
+            ranks: (0..trace.ranks())
                 .map(|_| RankState {
                     phase: 0,
                     outstanding_sends: 0,
@@ -297,113 +385,181 @@ impl<'a, N: DriverNet> MultiDriver<'a, N> {
                     hops_weighted: 0.0,
                     packets_sent: 0,
                 })
-                .collect();
-            contexts.push(JobContext {
-                trace,
-                placement,
-                expected_recvs,
-                ranks,
-                unfinished: trace.ranks() as usize,
-            });
-        }
-        MultiDriver {
-            net,
-            jobs: contexts,
-            node_owner,
-            background,
-            bg_scratch: Vec::new(),
-            sampler: None,
+                .collect(),
+            unfinished: trace.ranks() as usize,
+            trace,
+            placement,
+            meta,
+        };
+        if let Some(free) = self.slots.get_mut(slot as usize) {
+            assert!(free.is_none(), "job slot {slot} is occupied");
+            *free = Some(job);
+        } else {
+            assert_eq!(slot as usize, self.slots.len(), "job slots grow in order");
+            assert!(slot < JOB_SLOTS as u32, "job slot budget exhausted");
+            self.slots.push(Some(job));
         }
     }
 
-    /// Record a [`LoadSeries`] sample of the network every `interval`
-    /// while the run progresses. Retrieve it with
-    /// [`MultiDriver::run_with_series`].
-    pub fn with_sampler(mut self, interval: Ns) -> Self {
+    /// Attach open-loop background traffic. Its nodes must be disjoint
+    /// from every job's: a delivery to a node no job owns is how
+    /// [`RankEngine::handle`] recognizes a background message.
+    pub(crate) fn set_background(&mut self, bg: BackgroundRunner) {
+        assert!(
+            bg.nodes
+                .iter()
+                .all(|n| self.node_owner[n.index()] == NO_OWNER),
+            "background nodes overlap a job"
+        );
+        self.background = Some(bg);
+    }
+
+    /// Record a [`LoadSeries`] sample every `interval`.
+    pub(crate) fn set_sampler(&mut self, interval: Ns) {
         assert!(interval > Ns::ZERO, "sampling interval must be positive");
         self.sampler = Some(Sampler {
             interval,
             next: Ns::ZERO,
             series: LoadSeries::default(),
         });
-        self
     }
 
-    /// Run all jobs to completion; results in job order.
-    pub fn run(self) -> Vec<JobResult> {
-        self.run_with_series().0
-    }
-
-    /// Run all jobs to completion, also returning the sampled load series
-    /// (empty unless [`MultiDriver::with_sampler`] was used).
-    pub fn run_with_series(mut self) -> (Vec<JobResult>, LoadSeries) {
-        for job in 0..self.jobs.len() as u32 {
-            for rank in 0..self.jobs[job as usize].trace.ranks() {
-                self.issue_phase_sends(job, rank, Ns::ZERO);
-            }
-        }
-        for job in 0..self.jobs.len() as u32 {
-            for rank in 0..self.jobs[job as usize].trace.ranks() {
-                self.advance_if_complete(job, rank, Ns::ZERO);
-            }
-        }
-        if self.background.is_some() {
-            self.refill_background();
-        }
+    /// Inject the first background window and schedule the first load
+    /// sample.
+    pub(crate) fn start_wakeups(&mut self) {
+        self.refill_background();
         if let Some(s) = &self.sampler {
             self.net.schedule_wakeup(s.next);
         }
+    }
 
-        while self.jobs.iter().any(|j| j.unfinished > 0) {
-            match self.net.poll() {
-                Some(NetworkEvent::Delivery(d)) => self.on_delivery(d),
-                Some(NetworkEvent::Wakeup) => self.on_wakeup(),
-                None => {
-                    panic!("network drained with unfinished ranks — dependency deadlock in trace")
-                }
+    /// Send phase 0 of every rank of the job in `slot`.
+    pub(crate) fn issue_all(&mut self, slot: u32, now: Ns) {
+        let job = self.slots[slot as usize].as_mut().expect("empty job slot");
+        for rank in 0..job.ranks() {
+            job.issue(self.net, slot, rank, now);
+        }
+    }
+
+    /// Advance every rank of the job in `slot` through phases that are
+    /// already complete. True when the job has finished.
+    pub(crate) fn advance_all(&mut self, slot: u32, now: Ns) -> bool {
+        let job = self.slots[slot as usize].as_mut().expect("empty job slot");
+        for rank in 0..job.ranks() {
+            job.advance(self.net, slot, rank, now);
+        }
+        job.unfinished == 0
+    }
+
+    /// Take a finished job out of `slot`, releasing its nodes.
+    pub(crate) fn remove(&mut self, slot: u32) -> JobRun<'a, M> {
+        let job = self.slots[slot as usize]
+            .take()
+            .expect("retiring an empty slot");
+        for &n in job.placement.iter() {
+            self.node_owner[n.index()] = NO_OWNER;
+        }
+        job
+    }
+
+    /// Installed jobs with unfinished ranks.
+    pub(crate) fn running(&self) -> usize {
+        self.jobs().filter(|j| j.unfinished > 0).count()
+    }
+
+    /// Job slots ever materialized.
+    pub(crate) fn job_slots(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The installed jobs.
+    pub(crate) fn jobs(&self) -> impl Iterator<Item = &JobRun<'a, M>> {
+        self.slots.iter().flatten()
+    }
+
+    /// The installed jobs, mutably (for the fronts' `meta`).
+    pub(crate) fn jobs_mut(&mut self) -> impl Iterator<Item = &mut JobRun<'a, M>> {
+        self.slots.iter_mut().flatten()
+    }
+
+    /// Handle one network event. Returns the slot of the job it finished.
+    pub(crate) fn handle(&mut self, ev: NetworkEvent) -> Option<u32> {
+        match ev {
+            NetworkEvent::Delivery(d) => self.on_delivery(d),
+            NetworkEvent::Wakeup => {
+                self.on_wakeup();
+                None
             }
         }
+    }
 
-        let bg_messages = self.background.as_ref().map_or(0, |b| b.messages);
-        let series = self.sampler.map(|s| s.series).unwrap_or_default();
-        let results: Vec<JobResult> = self
-            .jobs
+    /// Per-rank results of the job in `slot`.
+    pub(crate) fn result(&self, slot: u32) -> JobResult {
+        let job = self.slots[slot as usize].as_ref().expect("empty job slot");
+        let rank_comm_time: Vec<Ns> = job
+            .ranks
             .iter()
-            .map(|job| {
-                let job_end = job
-                    .ranks
-                    .iter()
-                    .filter_map(|r| r.finished_at)
-                    .max()
-                    .unwrap_or(Ns::ZERO);
-                JobResult {
-                    rank_comm_time: job
-                        .ranks
-                        .iter()
-                        .map(|r| r.finished_at.expect("all ranks finished"))
-                        .collect(),
-                    rank_avg_hops: job
-                        .ranks
-                        .iter()
-                        .map(|r| {
-                            if r.packets_sent == 0 {
-                                0.0
-                            } else {
-                                r.hops_weighted / r.packets_sent as f64
-                            }
-                        })
-                        .collect(),
-                    job_end,
-                    background_messages: bg_messages,
-                }
-            })
+            .map(|r| r.finished_at.expect("all ranks finished"))
             .collect();
-        (results, series)
+        JobResult {
+            job_end: rank_comm_time.iter().copied().max().unwrap_or(Ns::ZERO),
+            rank_comm_time,
+            rank_avg_hops: job
+                .ranks
+                .iter()
+                .map(|r| {
+                    if r.packets_sent == 0 {
+                        0.0
+                    } else {
+                        r.hops_weighted / r.packets_sent as f64
+                    }
+                })
+                .collect(),
+            background_messages: self.background.as_ref().map_or(0, |b| b.messages),
+        }
+    }
+
+    /// The sampled load series (empty without a sampler).
+    pub(crate) fn take_series(&mut self) -> LoadSeries {
+        self.sampler.take().map(|s| s.series).unwrap_or_default()
+    }
+
+    fn on_delivery(&mut self, d: Delivery) -> Option<u32> {
+        let (slot, dst_rank) = self.node_owner[d.dst.index()];
+        if slot == NO_OWNER.0 {
+            return None; // background message: nobody waits on it
+        }
+        let now = self.net.now();
+        let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
+        let src_rank = (d.tag & RANK_MASK) as u32;
+        debug_assert_eq!(
+            (d.tag >> JOB_SHIFT) as u32,
+            slot,
+            "app delivery crossed job boundaries"
+        );
+        let packets = self.net.packets_for(d.bytes);
+        let job = self.slots[slot as usize]
+            .as_mut()
+            .expect("delivery for an empty job slot");
+        // Sender side: hops accounting + outstanding-send bookkeeping.
+        let s = &mut job.ranks[src_rank as usize];
+        s.hops_weighted += d.avg_hops * packets as f64;
+        s.packets_sent += packets;
+        debug_assert_eq!(s.phase, phase, "send completed outside its phase");
+        s.outstanding_sends -= 1;
+        // Receiver side: count the arrival against the sender's phase.
+        job.ranks[dst_rank as usize].recvs_got[phase] += 1;
+
+        job.advance(self.net, slot, src_rank, now);
+        if dst_rank != src_rank {
+            job.advance(self.net, slot, dst_rank, now);
+        }
+        (job.unfinished == 0).then_some(slot)
     }
 
     /// Background refills and load samples share the wakeup channel; each
     /// fires only when its own deadline has passed (wakeups meant for the
-    /// other are harmless no-ops).
+    /// other, or for a front's own timers, are harmless no-ops).
     fn on_wakeup(&mut self) {
         let now = self.net.now();
         if self
@@ -433,87 +589,75 @@ impl<'a, N: DriverNet> MultiDriver<'a, N> {
         let next = bg.refill(self.net, &mut self.bg_scratch);
         self.net.schedule_wakeup(next);
     }
+}
 
-    fn issue_phase_sends(&mut self, job: u32, rank: u32, now: Ns) {
-        let job = job as usize;
-        let ctx = &mut self.jobs[job];
-        let phase = ctx.ranks[rank as usize].phase;
-        let Some(ph) = ctx.trace.programs[rank as usize].phases.get(phase) else {
-            return;
-        };
-        ctx.ranks[rank as usize].outstanding_sends = ph.sends.len() as u32;
-        let src_node = ctx.placement[rank as usize];
-        let tag = ((job as u64) << JOB_SHIFT) | ((phase as u64) << PHASE_SHIFT) | rank as u64;
-        for s in &ph.sends {
-            self.net
-                .send(now, src_node, ctx.placement[s.peer as usize], s.bytes, tag);
+/// Drives any number of traced jobs (plus optional open-loop background
+/// traffic) to completion on one shared network: a fixed job set started
+/// together at t=0 on the shared rank-execution core.
+pub struct MultiDriver<'a, N: DriverNet = Network> {
+    engine: RankEngine<'a, N>,
+}
+
+impl<'a, N: DriverNet> MultiDriver<'a, N> {
+    /// Set up a driver over `jobs`: each entry is a trace plus the node
+    /// each of its ranks runs on. Node sets must be disjoint, from each
+    /// other and from the background job's.
+    pub fn new(
+        net: &'a mut N,
+        jobs: &[(&'a JobTrace, &'a [NodeId])],
+        background: Option<BackgroundRunner>,
+    ) -> MultiDriver<'a, N> {
+        assert!(!jobs.is_empty(), "need at least one job");
+        let mut engine = RankEngine::new(net);
+        for (slot, &(trace, placement)) in jobs.iter().enumerate() {
+            engine.install(
+                slot as u32,
+                Cow::Borrowed(trace),
+                Cow::Borrowed(placement),
+                (),
+            );
         }
+        if let Some(bg) = background {
+            engine.set_background(bg);
+        }
+        MultiDriver { engine }
     }
 
-    /// Advance the rank through any phases that are already complete.
-    fn advance_if_complete(&mut self, job: u32, rank: u32, now: Ns) {
-        loop {
-            let ctx = &self.jobs[job as usize];
-            let state = &ctx.ranks[rank as usize];
-            if state.finished_at.is_some() {
-                return;
-            }
-            let phase = state.phase;
-            let total_phases = ctx.trace.programs[rank as usize].phases.len();
-            if phase >= total_phases {
-                // Empty program.
-                let ctx = &mut self.jobs[job as usize];
-                ctx.ranks[rank as usize].finished_at = Some(now);
-                ctx.unfinished -= 1;
-                return;
-            }
-            let expected = ctx.expected_recvs[rank as usize]
-                .get(phase)
-                .copied()
-                .unwrap_or(0);
-            if state.outstanding_sends > 0 || state.recvs_got[phase] < expected {
-                return;
-            }
-            // Phase complete: move on.
-            let next = phase + 1;
-            let ctx = &mut self.jobs[job as usize];
-            ctx.ranks[rank as usize].phase = next;
-            if next >= total_phases {
-                ctx.ranks[rank as usize].finished_at = Some(now);
-                ctx.unfinished -= 1;
-                return;
-            }
-            self.issue_phase_sends(job, rank, now);
-        }
+    /// Record a [`LoadSeries`] sample of the network every `interval`
+    /// while the run progresses. Retrieve it with
+    /// [`MultiDriver::run_with_series`].
+    pub fn with_sampler(mut self, interval: Ns) -> Self {
+        self.engine.set_sampler(interval);
+        self
     }
 
-    fn on_delivery(&mut self, d: Delivery) {
-        if d.tag & BG_FLAG != 0 {
-            return; // background message: nobody waits on it
-        }
-        let now = self.net.now();
-        let job = (d.tag >> JOB_SHIFT) as u32;
-        let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
-        let src_rank = (d.tag & RANK_MASK) as u32;
-        let (dst_job, dst_rank) = self.node_owner[d.dst.index()];
-        debug_assert_eq!(dst_job, job, "app delivery crossed job boundaries");
+    /// Run all jobs to completion; results in job order.
+    pub fn run(self) -> Vec<JobResult> {
+        self.run_with_series().0
+    }
 
-        // Sender side: hops accounting + outstanding-send bookkeeping.
-        {
-            let packets = self.net.packets_for(d.bytes);
-            let s = &mut self.jobs[job as usize].ranks[src_rank as usize];
-            s.hops_weighted += d.avg_hops * packets as f64;
-            s.packets_sent += packets;
-            debug_assert_eq!(s.phase, phase, "send completed outside its phase");
-            s.outstanding_sends -= 1;
+    /// Run all jobs to completion, also returning the sampled load series
+    /// (empty unless [`MultiDriver::with_sampler`] was used).
+    pub fn run_with_series(mut self) -> (Vec<JobResult>, LoadSeries) {
+        let e = &mut self.engine;
+        let jobs = e.job_slots() as u32;
+        // Every job's phase 0 goes out before any job advances.
+        for slot in 0..jobs {
+            e.issue_all(slot, Ns::ZERO);
         }
-        // Receiver side: count the arrival against the sender's phase.
-        self.jobs[job as usize].ranks[dst_rank as usize].recvs_got[phase] += 1;
-
-        self.advance_if_complete(job, src_rank, now);
-        if dst_rank != src_rank {
-            self.advance_if_complete(job, dst_rank, now);
+        for slot in 0..jobs {
+            e.advance_all(slot, Ns::ZERO);
         }
+        e.start_wakeups();
+        while e.running() > 0 {
+            let ev = e
+                .net
+                .poll()
+                .expect("network drained with unfinished ranks — dependency deadlock in trace");
+            e.handle(ev);
+        }
+        let results = (0..jobs).map(|slot| e.result(slot)).collect();
+        (results, e.take_series())
     }
 }
 

@@ -8,7 +8,7 @@
 //! reproduction toward the "diversified workloads" future work the paper
 //! announces.
 
-use crate::config::{AppSelection, RoutingPolicy};
+use crate::config::{check_job_shape, AppSelection, RoutingPolicy};
 use crate::mpi::{JobResult, MultiDriver};
 use dfly_engine::{Ns, Xoshiro256};
 use dfly_network::{MetricsFilter, Network, NetworkMetrics, NetworkParams};
@@ -66,17 +66,16 @@ impl MultiJobConfig {
         if self.jobs.is_empty() {
             return Err("need at least one job".into());
         }
-        let total: u64 = self.jobs.iter().map(|j| j.app.ranks() as u64).sum();
-        if total > self.topology.total_nodes() as u64 {
-            return Err(format!(
-                "jobs need {total} nodes but the machine has {}",
-                self.topology.total_nodes()
-            ));
-        }
+        let nodes = self.topology.total_nodes();
         for (i, j) in self.jobs.iter().enumerate() {
-            if j.msg_scale <= 0.0 {
-                return Err(format!("job {i}: msg_scale must be positive"));
-            }
+            check_job_shape(j.app.ranks(), nodes, j.msg_scale)
+                .map_err(|e| format!("job {i}: {e}"))?;
+        }
+        let total: u64 = self.jobs.iter().map(|j| j.app.ranks() as u64).sum();
+        if total > nodes as u64 {
+            return Err(format!(
+                "jobs need {total} nodes but the machine has {nodes}"
+            ));
         }
         Ok(())
     }
@@ -273,6 +272,27 @@ mod tests {
         ]);
         assert!(c.validate().is_err());
         assert!(cfg(vec![]).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_scale_and_single_rank_jobs() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let err = cfg(vec![JobSpec {
+                app: AppSelection::Amg { ranks: 8 },
+                placement: PlacementPolicy::Contiguous,
+                msg_scale: bad,
+            }])
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("job 0: msg_scale"), "{err}");
+        }
+        let err = cfg(vec![JobSpec::new(
+            AppSelection::Amg { ranks: 1 },
+            PlacementPolicy::Contiguous,
+        )])
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("at least 2 ranks"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end experiment execution.
 
-use crate::config::{ExperimentConfig, Parallelism};
+use crate::config::ExperimentConfig;
 use crate::mpi::{BackgroundRunner, MpiDriver};
 use dfly_engine::{Ns, Xoshiro256};
 use dfly_network::{AuditReport, MetricsFilter, Network, NetworkMetrics, ShardedNetwork, SimArena};
@@ -222,57 +222,52 @@ pub fn execute_experiment_with_arena(
         )
     });
 
-    // A single-group machine has no cross-group cut to shard on; run it
-    // on the serial loop whatever the config says.
-    let workers = match config.parallelism {
-        Parallelism::IntraRun(n) if config.topology.groups >= 2 => Some(n as usize),
-        _ => None,
-    };
-    let (result, metrics, audit, obs, events) = match workers {
-        None => {
-            // The legacy serial event loop, over the arena's recycled
-            // buffers (cold on the first run) — the golden-run reference
-            // path, byte-identical to earlier single-thread releases.
-            let mut net = Network::with_arena(
-                topo.clone(),
-                config.network,
-                config.routing,
-                routing_seed,
-                arena,
-            );
-            let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
-            let metrics = net.metrics();
-            let audit = net.audit_report();
-            let obs = net.obs_report();
-            let events = net.events_processed();
-            net.recycle(arena);
-            (result, metrics, audit, obs, events)
-        }
-        Some(n) => {
-            // Per-group PDES sharding. Each worker thread of the *sweep*
-            // keeps its own pool of per-group arenas (capacity-only, so
-            // recycling cannot change results).
-            SHARD_ARENAS.with(|pool| {
-                let pool = &mut *pool.borrow_mut();
-                let mut net = ShardedNetwork::with_arenas(
+    let (result, metrics, audit, obs, events) =
+        match config.parallelism.shard_workers(&config.topology) {
+            None => {
+                // The legacy serial event loop, over the arena's recycled
+                // buffers (cold on the first run) — the golden-run reference
+                // path, byte-identical to earlier single-thread releases.
+                let mut net = Network::with_arena(
                     topo.clone(),
                     config.network,
                     config.routing,
                     routing_seed,
-                    n,
-                    pool,
+                    arena,
                 );
                 let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
-                let mut parts = net.finish();
-                let metrics = parts.metrics();
-                let audit = parts.audit_report();
-                let obs = parts.obs_report();
-                let events = parts.events();
-                parts.recycle(pool);
+                let metrics = net.metrics();
+                let audit = net.audit_report();
+                let obs = net.obs_report();
+                let events = net.events_processed();
+                net.recycle(arena);
                 (result, metrics, audit, obs, events)
-            })
-        }
-    };
+            }
+            Some(n) => {
+                // Per-group PDES sharding. Each worker thread of the *sweep*
+                // keeps its own pool of per-group arenas (capacity-only, so
+                // recycling cannot change results).
+                SHARD_ARENAS.with(|pool| {
+                    let pool = &mut *pool.borrow_mut();
+                    let mut net = ShardedNetwork::with_arenas(
+                        topo.clone(),
+                        config.network,
+                        config.routing,
+                        routing_seed,
+                        n,
+                        pool,
+                    );
+                    let result = MpiDriver::new(&mut net, &trace, &placement, background).run();
+                    let mut parts = net.finish();
+                    let metrics = parts.metrics();
+                    let audit = parts.audit_report();
+                    let obs = parts.obs_report();
+                    let events = parts.events();
+                    parts.recycle(pool);
+                    (result, metrics, audit, obs, events)
+                })
+            }
+        };
     let app_routers: HashSet<RouterId> = placement.iter().map(|&n| topo.node_router(n)).collect();
 
     ExperimentResult {
@@ -306,7 +301,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AppSelection, BackgroundConfig};
+    use crate::config::{AppSelection, BackgroundConfig, Parallelism};
     use dfly_placement::PlacementPolicy;
     use dfly_workloads::BackgroundSpec;
 

@@ -22,7 +22,7 @@ use crate::config::{Parallelism, RoutingPolicy};
 use crate::multijob::JobSpec;
 use crate::service::{
     run_service, AdmissionPolicy, PlacementChoice, ServiceConfig, ServiceJob, ServiceSubmission,
-    ServiceWorkload, JOB_SLOTS, MAX_RANKS, RANK_BITS,
+    ServiceWorkload, JOB_SLOTS,
 };
 use dfly_engine::Ns;
 use dfly_network::NetworkParams;
@@ -61,11 +61,6 @@ impl SchedulerConfig {
     /// length against the 16-bit job-id field (longer open-ended streams
     /// belong to service mode, which recycles slots explicitly).
     pub fn validate(&self) -> Result<(), String> {
-        self.topology.validate()?;
-        self.network.validate()?;
-        if self.submissions.is_empty() {
-            return Err("submissions: need at least one".into());
-        }
         if self.submissions.len() > JOB_SLOTS {
             return Err(format!(
                 "submissions: {} jobs exceed the {JOB_SLOTS} job-id tag slots; \
@@ -73,30 +68,34 @@ impl SchedulerConfig {
                 self.submissions.len()
             ));
         }
-        if self.parallelism == Parallelism::IntraRun(0) {
-            return Err("parallelism: intra-run needs at least one worker".into());
+        self.service_config().validate()
+    }
+
+    /// The same stream as a service run under strict FCFS admission, in
+    /// submission order (`run_service` sorts it by arrival, stably).
+    fn service_config(&self) -> ServiceConfig {
+        ServiceConfig {
+            topology: self.topology.clone(),
+            network: self.network,
+            routing: self.routing,
+            admission: AdmissionPolicy::Fcfs,
+            submissions: self
+                .submissions
+                .iter()
+                .map(|s| ServiceSubmission {
+                    job: ServiceJob {
+                        workload: ServiceWorkload::App(s.job.app),
+                        placement: PlacementChoice::Fixed(s.job.placement),
+                        msg_scale: s.job.msg_scale,
+                        tenant: 0,
+                        estimate: Ns::ZERO,
+                    },
+                    arrival: s.arrival,
+                })
+                .collect(),
+            seed: self.seed,
+            parallelism: self.parallelism,
         }
-        for (i, s) in self.submissions.iter().enumerate() {
-            let ranks = s.job.app.ranks();
-            if ranks == 0 {
-                return Err(format!("submissions[{i}]: job needs at least one rank"));
-            }
-            if ranks > self.topology.total_nodes() {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {}-node machine",
-                    self.topology.total_nodes()
-                ));
-            }
-            if ranks > MAX_RANKS {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {RANK_BITS}-bit rank tag field"
-                ));
-            }
-            if s.job.msg_scale <= 0.0 {
-                return Err(format!("submissions[{i}]: msg_scale must be positive"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -135,28 +134,7 @@ pub fn run_schedule(config: &SchedulerConfig) -> ScheduleResult {
     config.validate().expect("invalid scheduler config");
     let mut sorted = config.submissions.clone();
     sorted.sort_by_key(|s| s.arrival);
-    let service = ServiceConfig {
-        topology: config.topology.clone(),
-        network: config.network,
-        routing: config.routing,
-        admission: AdmissionPolicy::Fcfs,
-        submissions: sorted
-            .iter()
-            .map(|s| ServiceSubmission {
-                job: ServiceJob {
-                    workload: ServiceWorkload::App(s.job.app),
-                    placement: PlacementChoice::Fixed(s.job.placement),
-                    msg_scale: s.job.msg_scale,
-                    tenant: 0,
-                    estimate: Ns::ZERO,
-                },
-                arrival: s.arrival,
-            })
-            .collect(),
-        seed: config.seed,
-        parallelism: config.parallelism,
-    };
-    let result = run_service(&service);
+    let result = run_service(&config.service_config());
     // Outcome uids are submission indices in arrival order — exactly the
     // indices of `sorted`.
     let jobs = result
@@ -182,6 +160,7 @@ pub fn run_schedule(config: &SchedulerConfig) -> ScheduleResult {
 mod tests {
     use super::*;
     use crate::config::AppSelection;
+    use crate::service::MAX_RANKS;
     use dfly_placement::PlacementPolicy;
 
     fn job(app: AppSelection, placement: PlacementPolicy) -> JobSpec {
@@ -350,12 +329,29 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_non_finite_msg_scale() {
+        // NaN used to pass `msg_scale <= 0.0` and panic inside
+        // `run_schedule`; +inf aborted the process on a ~9.7 GB allocation.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut j = job(AppSelection::Amg { ranks: 8 }, PlacementPolicy::Contiguous);
+            j.msg_scale = bad;
+            let err = cfg(vec![Submission {
+                job: j,
+                arrival: Ns::ZERO,
+            }])
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("submissions[0]: msg_scale"), "{err}");
+        }
+    }
+
+    #[test]
     fn validate_rejects_job_id_tag_overflow_at_boundary() {
         // The job-id tag field is 16 bits: 65536 submissions are the most
         // a batch config may carry. The pre-fix scheduler accepted any
         // count and silently aliased job 65536 onto job 0's tag space.
         let one = Submission {
-            job: job(AppSelection::Amg { ranks: 1 }, PlacementPolicy::Contiguous),
+            job: job(AppSelection::Amg { ranks: 2 }, PlacementPolicy::Contiguous),
             arrival: Ns::ZERO,
         };
         let at_limit = cfg(vec![one; JOB_SLOTS]);

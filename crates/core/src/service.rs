@@ -11,7 +11,10 @@
 //! [`DriverNet`] surface (serial [`Network`] or the sharded PDES engine):
 //! `step_until` advances simulated time in bounded increments and `submit`
 //! injects jobs mid-run, so a driver can interleave simulation with
-//! decision-making instead of committing to a fixed script up front. The
+//! decision-making instead of committing to a fixed script up front. Rank
+//! execution itself — phases, tags, delivery handling — is the same
+//! [`crate::mpi`] core the batch drivers run on; this module keeps only
+//! the queue, admission, placement, slot recycling and retirement. The
 //! batch entry point [`run_service`] (and the legacy
 //! [`crate::scheduler::run_schedule`], now a thin wrapper) is itself a
 //! client of that incremental API: it steps to each arrival and injects.
@@ -25,38 +28,22 @@
 //!   [`MAX_RANKS`] — instead of silently aliasing;
 //! * `Parallelism::IntraRun` is honoured through the generic driver.
 
-use crate::config::{AppSelection, Parallelism, RoutingPolicy};
-use crate::mpi::DriverNet;
+use crate::config::{check_job_shape, AppSelection, Parallelism, RoutingPolicy};
+use crate::mpi::{DriverNet, RankEngine};
 use crate::recommend::{recommend, CommIntensity};
 use dfly_engine::{Bytes, Ns, Xoshiro256};
 use dfly_network::{AuditReport, Network, NetworkEvent, NetworkParams, ObsReport, ShardedNetwork};
 use dfly_placement::{NodePool, PlacementPolicy};
 use dfly_stats::percentile;
-use dfly_topology::{GroupId, NodeId, Topology, TopologyConfig};
+use dfly_topology::{GroupId, Topology, TopologyConfig};
 use dfly_workloads::{
     generate, generate_pattern, Arrival, ArrivalKind, JobTrace, Pattern, PatternSpec,
 };
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-/// Rank field width of an app-message tag (bits `[23:0]`).
-pub const RANK_BITS: u32 = 24;
-/// Phase field shift (bits `[47:24]`).
-pub const PHASE_SHIFT: u32 = RANK_BITS;
-/// Job-slot field shift (bits `[63:48]`).
-pub const JOB_SHIFT: u32 = 48;
-/// Largest rank count a job may have (24-bit rank field).
-pub const MAX_RANKS: u32 = (1 << RANK_BITS) - 1;
-/// Largest phase count a trace may have (24-bit phase field).
-pub const MAX_PHASES: usize = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
-/// Concurrent job-slot budget (16-bit job field). Slots are recycled on
-/// completion, so this bounds *simultaneously running* jobs — a stream may
-/// be arbitrarily long.
-pub const JOB_SLOTS: usize = 1 << (u64::BITS - JOB_SHIFT);
-
-const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
-const PHASE_MASK: u64 = (1 << (JOB_SHIFT - PHASE_SHIFT)) - 1;
-const NO_OWNER: (u32, u32) = (u32::MAX, u32::MAX);
+pub use crate::mpi::{JOB_SHIFT, JOB_SLOTS, MAX_PHASES, MAX_RANKS, PHASE_SHIFT, RANK_BITS};
 
 /// What a service job runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -284,28 +271,15 @@ impl ServiceOutcome {
 /// threshold at second-scale runtimes).
 pub const BOUNDED_SLOWDOWN_TAU: Ns = Ns(10_000);
 
-// --- internal per-job execution state (phase semantics of mpi.rs) ---
-
-struct RankState {
-    phase: usize,
-    outstanding_sends: u32,
-    recvs_got: Vec<u32>,
-    finished: bool,
-}
-
-struct ActiveJob {
+/// What the service keeps per running job beside the engine's rank state.
+struct JobMeta {
     uid: u64,
     tenant: u32,
     label: &'static str,
     arrival: Ns,
     started_at: Ns,
     estimate: Ns,
-    trace: JobTrace,
-    placement: Vec<NodeId>,
     policy: PlacementPolicy,
-    expected_recvs: Vec<Vec<u32>>,
-    ranks: Vec<RankState>,
-    unfinished: usize,
     groups: Vec<GroupId>,
     interferers: HashSet<u64>,
 }
@@ -322,18 +296,15 @@ struct QueuedJob {
 /// [`step_until`](ServiceSim::step_until) with your own decision logic —
 /// or call [`run_to_idle`](ServiceSim::run_to_idle) to drain everything.
 pub struct ServiceSim<'a, N: DriverNet> {
-    net: &'a mut N,
+    engine: RankEngine<'a, N, JobMeta>,
     topo: Arc<Topology>,
     pool: NodePool,
     admission: AdmissionPolicy,
     placement_rng: Xoshiro256,
     workload_seed: u64,
     queue: VecDeque<QueuedJob>,
-    slots: Vec<Option<ActiveJob>>,
     free_slots: Vec<u32>,
-    node_owner: Vec<(u32, u32)>,
     completed: Vec<ServiceOutcome>,
-    active: usize,
     peak_active: usize,
     next_uid: u64,
 }
@@ -361,18 +332,15 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
         );
         let pool = NodePool::new(&topo);
         ServiceSim {
-            net,
+            engine: RankEngine::new(net),
             topo,
             pool,
             admission,
             placement_rng,
             workload_seed,
             queue: VecDeque::new(),
-            slots: Vec::new(),
             free_slots: Vec::new(),
-            node_owner: vec![NO_OWNER; nodes],
             completed: Vec::new(),
-            active: 0,
             peak_active: 0,
             next_uid: 0,
         }
@@ -383,30 +351,9 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// Rejects jobs whose shape overflows the machine or the event-tag
     /// fields — the admission-side half of the tag-width validation.
     pub fn submit(&mut self, job: ServiceJob, arrival: Ns) -> Result<u64, String> {
-        let ranks = job.workload.ranks();
         let nodes = self.topo.config().total_nodes();
-        if ranks == 0 {
-            return Err("job needs at least one rank".into());
-        }
-        if let ServiceWorkload::Pattern { ranks, .. } = job.workload {
-            if ranks < 2 {
-                return Err("pattern jobs need at least 2 ranks".into());
-            }
-        }
-        if ranks > MAX_RANKS {
-            return Err(format!(
-                "job has {ranks} ranks but the {RANK_BITS}-bit rank tag field holds {MAX_RANKS}"
-            ));
-        }
-        if ranks > nodes {
-            return Err(format!(
-                "job needs {ranks} ranks but the machine has {nodes} nodes"
-            ));
-        }
-        if !(job.msg_scale > 0.0) {
-            return Err("msg_scale must be positive".into());
-        }
-        let arrival = arrival.max(self.net.now());
+        check_job_shape(job.workload.ranks(), nodes, job.msg_scale)?;
+        let arrival = arrival.max(self.engine.net.now());
         let uid = self.next_uid;
         self.next_uid += 1;
         // Keep the queue sorted by (arrival, uid); mid-run injections land
@@ -417,7 +364,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             .rposition(|q| q.arrival <= arrival)
             .map_or(0, |p| p + 1);
         self.queue.insert(pos, QueuedJob { uid, job, arrival });
-        self.net.schedule_wakeup(arrival);
+        self.engine.net.schedule_wakeup(arrival);
         Ok(uid)
     }
 
@@ -425,12 +372,14 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// whichever comes first). Admission re-attempts after every network
     /// event.
     pub fn step_until(&mut self, t: Ns) {
-        if t > self.net.now() {
-            self.net.schedule_wakeup(t);
+        if t > self.engine.net.now() {
+            self.engine.net.schedule_wakeup(t);
         }
         self.try_admit();
-        while self.net.now() < t {
-            let Some(ev) = self.net.poll() else { break };
+        while self.engine.net.now() < t {
+            let Some(ev) = self.engine.net.poll() else {
+                break;
+            };
             self.handle(ev);
             self.try_admit();
         }
@@ -442,7 +391,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     pub fn run_to_idle(&mut self) {
         loop {
             self.try_admit();
-            let Some(ev) = self.net.poll() else {
+            let Some(ev) = self.engine.net.poll() else {
                 // Drained. A congestion gate may only now be open —
                 // re-attempt, and keep going if it admitted anything.
                 let queued = self.queue.len();
@@ -455,21 +404,21 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             self.handle(ev);
         }
         assert!(
-            self.queue.is_empty() && self.active == 0,
+            self.queue.is_empty() && self.engine.running() == 0,
             "service stalled: {} queued, {} active jobs on an idle network",
             self.queue.len(),
-            self.active
+            self.engine.running()
         );
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Ns {
-        self.net.now()
+        self.engine.net.now()
     }
 
     /// Jobs currently running.
     pub fn active_jobs(&self) -> usize {
-        self.active
+        self.engine.running()
     }
 
     /// Jobs waiting for admission.
@@ -485,7 +434,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// Job slots ever materialized — the state high-water mark. Bounded by
     /// peak concurrency (slots are recycled), not by stream length.
     pub fn job_slots(&self) -> usize {
-        self.slots.len()
+        self.engine.job_slots()
     }
 
     /// Outcomes of finished jobs, in completion order.
@@ -495,37 +444,17 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
 
     /// Tear down, keeping the outcome stream and state statistics.
     pub fn finish(self) -> (Vec<ServiceOutcome>, usize, usize) {
-        (self.completed, self.peak_active, self.slots.len())
+        let slots = self.engine.job_slots();
+        (self.completed, self.peak_active, slots)
     }
 
     fn slot_available(&self) -> bool {
-        !self.free_slots.is_empty() || self.slots.len() < JOB_SLOTS
+        !self.free_slots.is_empty() || self.engine.job_slots() < JOB_SLOTS
     }
 
     fn handle(&mut self, ev: NetworkEvent) {
-        let NetworkEvent::Delivery(d) = ev else {
-            return;
-        };
-        let now = self.net.now();
-        let slot = (d.tag >> JOB_SHIFT) as u32;
-        let phase = ((d.tag >> PHASE_SHIFT) & PHASE_MASK) as usize;
-        let src_rank = (d.tag & RANK_MASK) as u32;
-        let (dst_slot, dst_rank) = self.node_owner[d.dst.index()];
-        debug_assert_eq!(dst_slot, slot, "delivery to a node the job does not own");
-        let job = self.slots[slot as usize]
-            .as_mut()
-            .expect("delivery for a retired job slot");
-        {
-            let s = &mut job.ranks[src_rank as usize];
-            debug_assert_eq!(s.phase, phase);
-            s.outstanding_sends -= 1;
-        }
-        job.ranks[dst_rank as usize].recvs_got[phase] += 1;
-        advance(self.net, job, slot, src_rank, now);
-        if dst_rank != src_rank {
-            advance(self.net, job, slot, dst_rank, now);
-        }
-        if job.unfinished == 0 {
+        if let Some(slot) = self.engine.handle(ev) {
+            let now = self.engine.net.now();
             self.retire(slot, now);
         }
     }
@@ -533,7 +462,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// Admit queued jobs per the policy. Called after every event and
     /// submission, so completions and congestion drains re-trigger it.
     fn try_admit(&mut self) {
-        let now = self.net.now();
+        let now = self.engine.net.now();
         loop {
             let Some(head) = self.queue.front() else {
                 return;
@@ -542,7 +471,7 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
                 return;
             }
             if let AdmissionPolicy::CongestionAware { max_queued_bytes } = self.admission {
-                if self.net.total_queued_bytes() > max_queued_bytes {
+                if self.engine.net.total_queued_bytes() > max_queued_bytes {
                     // The gate re-opens as deliveries drain the buffers;
                     // every drained event re-attempts admission.
                     return;
@@ -582,14 +511,13 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             .workload
             .ranks();
         let mut ends: Vec<(Ns, u64, u32)> = self
-            .slots
-            .iter()
-            .flatten()
+            .engine
+            .jobs()
             .map(|j| {
                 (
-                    Ns(j.started_at.0.saturating_add(j.estimate.0)),
-                    j.uid,
-                    j.placement.len() as u32,
+                    Ns(j.meta.started_at.0.saturating_add(j.meta.estimate.0)),
+                    j.meta.uid,
+                    j.ranks(),
                 )
             })
             .collect();
@@ -636,85 +564,50 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
             .job
             .workload
             .trace(q.job.msg_scale, self.workload_seed ^ (q.uid << 32));
-        assert_eq!(trace.ranks(), ranks, "trace rank count mismatch");
-        assert!(
-            trace.phase_count() <= MAX_PHASES,
-            "trace has {} phases but the phase tag field holds {MAX_PHASES}",
-            trace.phase_count()
-        );
         let policy = match q.job.placement {
             PlacementChoice::Fixed(p) => p,
             PlacementChoice::Recommend => {
                 // Live machine state: any co-runner, or congestion still
                 // queued in the fabric, makes the network "shared".
-                let shared = self.active > 0 || self.net.total_queued_bytes() > 0;
+                let shared = self.engine.running() > 0 || self.engine.net.total_queued_bytes() > 0;
                 recommend(CommIntensity::of(&trace), shared).placement
             }
         };
         let placement = policy
             .allocate(&self.topo, &mut self.pool, ranks, &mut self.placement_rng)
             .expect("admission checked the free count");
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                assert!(
-                    self.slots.len() < JOB_SLOTS,
-                    "slot budget checked at admission"
-                );
-                self.slots.push(None);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        for (rank, &node) in placement.iter().enumerate() {
-            self.node_owner[node.index()] = (slot, rank as u32);
-        }
+        let slot = self
+            .free_slots
+            .pop()
+            .unwrap_or(self.engine.job_slots() as u32);
         let mut groups: Vec<GroupId> = placement.iter().map(|&n| self.topo.node_group(n)).collect();
         groups.sort_unstable();
         groups.dedup();
         let mut interferers = HashSet::new();
-        for other in self.slots.iter_mut().flatten() {
+        for other in self.engine.jobs_mut() {
+            let other = &mut other.meta;
             let overlaps = other.groups.iter().any(|g| groups.binary_search(g).is_ok());
             if overlaps {
                 other.interferers.insert(q.uid);
                 interferers.insert(other.uid);
             }
         }
-        let phases = trace.phase_count();
-        let expected_recvs = trace.recv_counts();
-        let rank_states: Vec<RankState> = (0..ranks)
-            .map(|_| RankState {
-                phase: 0,
-                outstanding_sends: 0,
-                recvs_got: vec![0; phases],
-                finished: false,
-            })
-            .collect();
-        self.slots[slot as usize] = Some(ActiveJob {
+        let meta = JobMeta {
             uid: q.uid,
             tenant: q.job.tenant,
             label: q.job.workload.label(),
             arrival: q.arrival,
             started_at: now,
             estimate: q.job.estimate,
-            trace,
-            placement,
             policy,
-            expected_recvs,
-            ranks: rank_states,
-            unfinished: ranks as usize,
             groups,
             interferers,
-        });
-        self.active += 1;
-        self.peak_active = self.peak_active.max(self.active);
-        let job = self.slots[slot as usize].as_mut().expect("just placed");
-        for rank in 0..ranks {
-            issue_phase(self.net, job, slot, rank, now);
-        }
-        for rank in 0..ranks {
-            advance(self.net, job, slot, rank, now);
-        }
-        if job.unfinished == 0 {
+        };
+        self.engine
+            .install(slot, Cow::Owned(trace), Cow::Owned(placement), meta);
+        self.peak_active = self.peak_active.max(self.engine.running());
+        self.engine.issue_all(slot, now);
+        if self.engine.advance_all(slot, now) {
             // Degenerate all-empty trace: completes at admission.
             self.retire(slot, now);
         }
@@ -723,73 +616,25 @@ impl<'a, N: DriverNet> ServiceSim<'a, N> {
     /// Retire a finished job: release its nodes, recycle its slot, and
     /// keep only the compact outcome record.
     fn retire(&mut self, slot: u32, now: Ns) {
-        let job = self.slots[slot as usize]
-            .take()
-            .expect("retiring an empty slot");
-        for &n in &job.placement {
-            self.node_owner[n.index()] = NO_OWNER;
-        }
-        self.pool.release(&job.placement);
+        let job = self.engine.remove(slot);
+        self.pool.release(job.placement());
         self.free_slots.push(slot);
-        self.active -= 1;
+        let ranks = job.ranks();
+        let m = job.meta;
         self.completed.push(ServiceOutcome {
-            uid: job.uid,
-            tenant: job.tenant,
-            label: job.label,
-            ranks: job.trace.ranks(),
-            arrival: job.arrival,
-            started_at: job.started_at,
+            uid: m.uid,
+            tenant: m.tenant,
+            label: m.label,
+            ranks,
+            arrival: m.arrival,
+            started_at: m.started_at,
             finished_at: now,
-            wait: job.started_at - job.arrival,
-            runtime: now - job.started_at,
-            placement: job.policy,
-            groups: job.groups.len() as u32,
-            blast_radius: job.interferers.len() as u32,
+            wait: m.started_at - m.arrival,
+            runtime: now - m.started_at,
+            placement: m.policy,
+            groups: m.groups.len() as u32,
+            blast_radius: m.interferers.len() as u32,
         });
-    }
-}
-
-fn issue_phase<N: DriverNet>(net: &mut N, job: &mut ActiveJob, slot: u32, rank: u32, now: Ns) {
-    let phase = job.ranks[rank as usize].phase;
-    let Some(ph) = job.trace.programs[rank as usize].phases.get(phase) else {
-        return;
-    };
-    job.ranks[rank as usize].outstanding_sends = ph.sends.len() as u32;
-    let src = job.placement[rank as usize];
-    let tag = ((slot as u64) << JOB_SHIFT) | ((phase as u64) << PHASE_SHIFT) | rank as u64;
-    for s in &ph.sends {
-        net.send(now, src, job.placement[s.peer as usize], s.bytes, tag);
-    }
-}
-
-fn advance<N: DriverNet>(net: &mut N, job: &mut ActiveJob, slot: u32, rank: u32, now: Ns) {
-    loop {
-        let state = &job.ranks[rank as usize];
-        if state.finished {
-            return;
-        }
-        let phase = state.phase;
-        let total = job.trace.programs[rank as usize].phases.len();
-        if phase >= total {
-            job.ranks[rank as usize].finished = true;
-            job.unfinished -= 1;
-            return;
-        }
-        let expected = job.expected_recvs[rank as usize]
-            .get(phase)
-            .copied()
-            .unwrap_or(0);
-        if state.outstanding_sends > 0 || state.recvs_got[phase] < expected {
-            return;
-        }
-        let next = phase + 1;
-        job.ranks[rank as usize].phase = next;
-        if next >= total {
-            job.ranks[rank as usize].finished = true;
-            job.unfinished -= 1;
-            return;
-        }
-        issue_phase(net, job, slot, rank, now);
     }
 }
 
@@ -826,30 +671,8 @@ impl ServiceConfig {
         }
         let nodes = self.topology.total_nodes();
         for (i, s) in self.submissions.iter().enumerate() {
-            let ranks = s.job.workload.ranks();
-            if ranks == 0 {
-                return Err(format!("submissions[{i}]: job needs at least one rank"));
-            }
-            if let ServiceWorkload::Pattern { ranks, .. } = s.job.workload {
-                if ranks < 2 {
-                    return Err(format!(
-                        "submissions[{i}]: pattern jobs need at least 2 ranks"
-                    ));
-                }
-            }
-            if ranks > nodes {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {nodes}-node machine"
-                ));
-            }
-            if ranks > MAX_RANKS {
-                return Err(format!(
-                    "submissions[{i}]: {ranks} ranks exceed the {RANK_BITS}-bit rank tag field"
-                ));
-            }
-            if !(s.job.msg_scale > 0.0) {
-                return Err(format!("submissions[{i}]: msg_scale must be positive"));
-            }
+            check_job_shape(s.job.workload.ranks(), nodes, s.job.msg_scale)
+                .map_err(|e| format!("submissions[{i}]: {e}"))?;
         }
         Ok(())
     }
@@ -892,56 +715,50 @@ pub fn run_service(config: &ServiceConfig) -> ServiceResult {
     let mut subs = config.submissions.clone();
     subs.sort_by_key(|s| s.arrival);
 
-    // A single-group machine has no cross-group cut to shard on; fall back
-    // to the serial loop, as the experiment runner does.
-    let workers = match config.parallelism {
-        Parallelism::IntraRun(n) if config.topology.groups >= 2 => Some(n as usize),
-        _ => None,
-    };
-    match workers {
-        None => {
-            let mut net = Network::new(topo.clone(), config.network, config.routing, routing_seed);
-            let (outcomes, peak, slots) = drive(&mut net, topo, config, &subs);
-            let makespan = outcomes
-                .iter()
-                .map(|o| o.finished_at)
-                .max()
-                .unwrap_or(Ns::ZERO);
-            ServiceResult {
-                outcomes,
-                makespan,
-                peak_active_jobs: peak,
-                job_slots: slots,
-                events: net.events_processed(),
-                audit: net.audit_report(),
-                obs: net.obs_report(),
+    let ((outcomes, peak_active_jobs, job_slots), events, audit, obs) =
+        match config.parallelism.shard_workers(&config.topology) {
+            None => {
+                let mut net =
+                    Network::new(topo.clone(), config.network, config.routing, routing_seed);
+                let run = drive(&mut net, topo, config, &subs);
+                (
+                    run,
+                    net.events_processed(),
+                    net.audit_report(),
+                    net.obs_report(),
+                )
             }
-        }
-        Some(n) => {
-            let mut net = ShardedNetwork::new(
-                topo.clone(),
-                config.network,
-                config.routing,
-                routing_seed,
-                n,
-            );
-            let (outcomes, peak, slots) = drive(&mut net, topo, config, &subs);
-            let makespan = outcomes
-                .iter()
-                .map(|o| o.finished_at)
-                .max()
-                .unwrap_or(Ns::ZERO);
-            let mut parts = net.finish();
-            ServiceResult {
-                outcomes,
-                makespan,
-                peak_active_jobs: peak,
-                job_slots: slots,
-                events: parts.events(),
-                audit: parts.audit_report(),
-                obs: parts.obs_report(),
+            Some(n) => {
+                let mut net = ShardedNetwork::new(
+                    topo.clone(),
+                    config.network,
+                    config.routing,
+                    routing_seed,
+                    n,
+                );
+                let run = drive(&mut net, topo, config, &subs);
+                let mut parts = net.finish();
+                (
+                    run,
+                    parts.events(),
+                    parts.audit_report(),
+                    parts.obs_report(),
+                )
             }
-        }
+        };
+    let makespan = outcomes
+        .iter()
+        .map(|o| o.finished_at)
+        .max()
+        .unwrap_or(Ns::ZERO);
+    ServiceResult {
+        outcomes,
+        makespan,
+        peak_active_jobs,
+        job_slots,
+        events,
+        audit,
+        obs,
     }
 }
 
@@ -1285,6 +1102,32 @@ mod tests {
             phases: 1,
         };
         assert!(c.validate().unwrap_err().contains("at least 2 ranks"));
+    }
+
+    #[test]
+    fn non_finite_msg_scale_rejected_by_validate_and_submit() {
+        let topo = Arc::new(Topology::build(TopologyConfig::small_test()));
+        let mut net = Network::new(
+            topo.clone(),
+            NetworkParams::default(),
+            RoutingPolicy::Minimal,
+            1,
+        );
+        let mut sim = ServiceSim::new(&mut net, topo, AdmissionPolicy::Fcfs, 1);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut job = app_job(16, PlacementPolicy::Contiguous);
+            job.msg_scale = bad;
+            let err = cfg(vec![sub(job, Ns::ZERO)]).validate().unwrap_err();
+            assert!(err.contains("submissions[0]: msg_scale"), "{err}");
+            let err = sim.submit(job, Ns::ZERO).unwrap_err();
+            assert!(err.contains("msg_scale"), "{err}");
+        }
+        // A one-rank app has no peer: rejected up front, not in `generate`.
+        let err = sim
+            .submit(app_job(1, PlacementPolicy::Contiguous), Ns::ZERO)
+            .unwrap_err();
+        assert!(err.contains("at least 2 ranks"), "{err}");
+        assert_eq!(sim.queued_jobs(), 0);
     }
 
     #[test]
